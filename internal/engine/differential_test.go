@@ -127,6 +127,7 @@ func runDifferentialHistory(t *testing.T, policy, variant string, seed int64, tr
 			Conservative:    conservative,
 			DisableBackfill: disableBackfill,
 			Window:          10,
+			History:         true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -231,10 +231,10 @@ func (e *Engine) tryGrow(rj *runningJob, now float64) bool {
 // completion event is skipped when popped) without releasing its placement —
 // the caller has already released or committed over it.
 func (e *Engine) detachRunning(rj *runningJob) {
-	rj.cancelled = true
 	delete(e.running, rj)
 	e.used -= rj.it.j.Size
 	rj.it.rj = nil
+	rj.tombstone()
 }
 
 // urgent reports whether a blocked head may preempt: positive priority

@@ -102,6 +102,12 @@ type Config struct {
 	// cell's node count so per-shard utilization is meaningful even though
 	// the shard's State spans the full-geometry tree (topology.RestrictToPods).
 	TotalNodes int
+	// History makes the engine keep the per-job evaluation history in its
+	// Accounting (Records, Rejected, Killed, UtilSeries, InstSamples): what
+	// Figures 6–8 and Table 2 are computed from, and memory that grows with
+	// every job. The batch simulator asks for it (sched.Scheduler.Engine);
+	// the daemon does not and keeps only the O(1) aggregates.
+	History bool
 }
 
 // FailurePolicy selects the engine's treatment of running jobs hit by a
@@ -228,8 +234,10 @@ type UtilPoint struct {
 
 // Accounting is the evaluation-metric ledger the engine accumulates; the
 // batch simulator turns it into a sched.Result and the daemon's /metrics
-// endpoint reads it live. Slices are owned by the engine — callers must
-// treat them as read-only.
+// endpoint reads it live. The slices (Records, Rejected, UtilSeries,
+// InstSamples, Killed) are the per-job history and stay empty unless
+// Config.History is set; the scalars are always maintained. Slices are owned
+// by the engine — callers must treat them as read-only.
 type Accounting struct {
 	Records  []Record
 	Rejected []trace.Job
@@ -324,6 +332,14 @@ type runningJob struct {
 	cancelled bool
 }
 
+// tombstone marks the pending completion event to be skipped and drops what
+// it would otherwise pin (the job and its released placement) until the
+// event's timestamp — hours away for a long job on a wall-clock daemon.
+func (rj *runningJob) tombstone() {
+	rj.cancelled = true
+	rj.it, rj.pl = nil, nil
+}
+
 // Engine is the incremental scheduler. The zero value is not usable;
 // construct with New. Not safe for concurrent use.
 type Engine struct {
@@ -335,9 +351,17 @@ type Engine struct {
 
 	queue   []*jobItem
 	running map[*runningJob]struct{}
-	jobs    map[int64]*jobItem
-	used    int
-	total   int
+	// jobs is the active set: submitted jobs that are not yet terminal
+	// (awaiting arrival, queued, or running).
+	jobs map[int64]*jobItem
+	// done is the terminal ledger: the final status of every completed,
+	// cancelled, rejected or killed job, kept so a finished ID still answers
+	// Status and Cancel and still counts as a duplicate. Key and value hold
+	// no pointers, so the runtime allocates the map's storage as memory the
+	// garbage collector never scans (TestLedgerIsPointerFree).
+	done  map[int64]JobStatus
+	used  int
+	total int
 
 	// releaseEpoch counts completions (and running-job cancellations). A
 	// blocked head job can only become placeable after a release, so FIFO
@@ -407,9 +431,14 @@ type Engine struct {
 	failed         map[topology.Failure]struct{}
 	failedSwitches int
 
+	// lastUtil is the current step of the used-node series (the last
+	// UtilSeries point when history is kept); haveUtil is false until the
+	// first one.
+	lastUtil UtilPoint
+	haveUtil bool
 	// Incremental utilization integrals (read by UtilizationTo and
 	// SteadyUtilization): utilIntegral is ∫used dt from the first util event
-	// through the last UtilSeries point, maintained O(1) per pushUtil;
+	// through lastUtil, maintained O(1) per pushUtil;
 	// steadyIntegral is the integral's value at SteadyEnd, captured whenever
 	// observe sees a non-empty queue; lastEndIntegral is its value at
 	// LastEnd. They exist so observers (the snapshot publisher) never pay an
@@ -439,6 +468,7 @@ func New(cfg Config) (*Engine, error) {
 		window:    w,
 		running:   map[*runningJob]struct{}{},
 		jobs:      map[int64]*jobItem{},
+		done:      map[int64]JobStatus{},
 		total:     totalNodes(cfg),
 		txnAlloc:  txn,
 		elasticPF: pf,
@@ -506,7 +536,7 @@ func (e *Engine) Accounting() Accounting { return e.acc }
 // virtual time; the job enters the queue when the clock reaches its arrival
 // (Step/AdvanceTo). Job IDs must be unique for the engine's lifetime.
 func (e *Engine) Submit(j trace.Job) error {
-	if _, dup := e.jobs[j.ID]; dup {
+	if _, dup := e.Status(j.ID); dup {
 		return fmt.Errorf("engine: duplicate job id %d", j.ID)
 	}
 	if j.Arrival < e.now {
@@ -525,10 +555,7 @@ func (e *Engine) Submit(j trace.Job) error {
 		// it can provably never meet its deadline (or never fit at all).
 		e.admit(it)
 		if it.verdict == VerdictRejected {
-			it.state = StateRejected
-			it.end = e.now
-			e.counts.Rejected++
-			e.acc.Rejected = append(e.acc.Rejected, it.j)
+			e.reject(it, e.now)
 			return nil
 		}
 	}
@@ -536,13 +563,36 @@ func (e *Engine) Submit(j trace.Job) error {
 	return nil
 }
 
-// Status returns the current view of a submitted job.
+// Status returns the current view of a submitted job, active or finished.
+// (Job IDs are unique for the engine's lifetime: a finished ID still counts
+// as a duplicate.)
 func (e *Engine) Status(id int64) (JobStatus, bool) {
-	it, ok := e.jobs[id]
-	if !ok {
-		return JobStatus{}, false
+	if it, ok := e.jobs[id]; ok {
+		return it.status(), true
 	}
-	return it.status(), true
+	st, ok := e.done[id]
+	return st, ok
+}
+
+// retire moves a job that just reached a terminal state out of the active
+// set: its final status goes to the ledger and the engine drops every
+// reference to the jobItem. (A cancelled job's pending arrival event may
+// still hold the item; Step skips it by its state.)
+func (e *Engine) retire(it *jobItem) {
+	it.rj = nil
+	delete(e.jobs, it.j.ID)
+	e.done[it.j.ID] = it.status()
+}
+
+// reject refuses a job at time now.
+func (e *Engine) reject(it *jobItem, now float64) {
+	it.state = StateRejected
+	it.end = now
+	e.counts.Rejected++
+	if e.cfg.History {
+		e.acc.Rejected = append(e.acc.Rejected, it.j)
+	}
+	e.retire(it)
 }
 
 // Cancel withdraws a job. A queued job is removed from the queue; a running
@@ -552,10 +602,15 @@ func (e *Engine) Status(id int64) (JobStatus, bool) {
 func (e *Engine) Cancel(id int64) (JobStatus, error) {
 	it, ok := e.jobs[id]
 	if !ok {
+		if st, done := e.done[id]; done {
+			return st, fmt.Errorf("engine: job %d already %s", id, st.State)
+		}
 		return JobStatus{}, fmt.Errorf("engine: unknown job %d", id)
 	}
 	switch it.state {
 	case StateQueued:
+		// A job whose arrival is still pending is in no queue; its arrival
+		// event is skipped by the state set here.
 		for i, q := range e.queue {
 			if q == it {
 				e.removeQueued(i)
@@ -565,21 +620,23 @@ func (e *Engine) Cancel(id int64) (JobStatus, error) {
 		it.state = StateCancelled
 		it.end = e.now
 		e.counts.Cancelled++
+		e.retire(it)
 		// Removing the head can unblock its successors.
 		e.schedule(e.now)
 		e.observe(e.now)
 	case StateRunning:
 		rj := it.rj
-		rj.cancelled = true
 		e.releaseEpoch++
 		e.cancelEpoch++
 		e.cfg.Alloc.Release(rj.pl)
+		rj.tombstone()
 		delete(e.running, rj)
 		e.used -= it.j.Size
 		e.pushUtil(e.now)
 		it.state = StateCancelled
 		it.end = e.now
 		e.counts.Cancelled++
+		e.retire(it)
 		// A cancelled running job ends work just like a completion does;
 		// without this the accounting window would stop at the previous
 		// completion and overstate utilization.
@@ -589,8 +646,6 @@ func (e *Engine) Cancel(id int64) (JobStatus, error) {
 		}
 		e.schedule(e.now)
 		e.observe(e.now)
-	default:
-		return it.status(), fmt.Errorf("engine: job %d already %s", id, it.state)
 	}
 	return it.status(), nil
 }
@@ -638,10 +693,10 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 	rep.Affected = len(affected)
 	var shrinkable []shrinkCand
 	for _, rj := range affected {
-		rj.cancelled = true // tombstone the pending completion event
-		e.cfg.Alloc.Release(rj.pl)
-		delete(e.running, rj)
 		it := rj.it
+		e.cfg.Alloc.Release(rj.pl)
+		rj.tombstone()
+		delete(e.running, rj)
 		e.used -= it.j.Size
 		it.rj = nil
 		switch {
@@ -650,7 +705,10 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 			it.end = now
 			e.counts.Killed++
 			rep.Killed++
-			e.acc.Killed = append(e.acc.Killed, it.j)
+			if e.cfg.History {
+				e.acc.Killed = append(e.acc.Killed, it.j)
+			}
+			e.retire(it)
 		case e.cfg.OnFailure == FailShrink && e.cfg.Elastic &&
 			it.j.MinSize() < it.j.Size && rj.end-now > timeEps:
 			// Deferred: the replacement search must run on the post-Apply
@@ -846,7 +904,9 @@ func (e *Engine) effRuntime(j trace.Job) float64 {
 
 // observe records the per-event utilization sample and steady-state cutoff.
 func (e *Engine) observe(now float64) {
-	e.acc.InstSamples = append(e.acc.InstSamples, float64(e.used)/float64(e.total))
+	if e.cfg.History {
+		e.acc.InstSamples = append(e.acc.InstSamples, float64(e.used)/float64(e.total))
+	}
 	if len(e.queue) > 0 {
 		e.acc.SteadyEnd = now
 		e.steadyIntegral = e.utilIntegralTo(now)
@@ -862,9 +922,12 @@ func (e *Engine) complete(rj *runningJob, now float64) {
 	e.pushUtil(now)
 	rj.it.state = StateCompleted
 	e.counts.Completed++
-	e.acc.Records = append(e.acc.Records, Record{
-		Job: rj.it.j, Runtime: rj.it.eff, Start: rj.start, End: rj.end,
-	})
+	if e.cfg.History {
+		e.acc.Records = append(e.acc.Records, Record{
+			Job: rj.it.j, Runtime: rj.it.eff, Start: rj.start, End: rj.end,
+		})
+	}
+	e.retire(rj.it)
 	if now > e.acc.LastEnd {
 		e.acc.LastEnd = now
 		e.lastEndIntegral = e.utilIntegralTo(now)
@@ -1046,10 +1109,7 @@ func (e *Engine) scheduleQueue(now float64) {
 			}
 			// The head cannot run even on a drained machine: reject it and
 			// reschedule the rest.
-			head.state = StateRejected
-			head.end = now
-			e.counts.Rejected++
-			e.acc.Rejected = append(e.acc.Rejected, head.j)
+			e.reject(head, now)
 			e.popHead()
 			continue
 		}
@@ -1227,35 +1287,34 @@ func (e *Engine) reservationClone(head *jobItem) (float64, alloc.Allocator, bool
 	return 0, nil, false
 }
 
-// pushUtil appends a used-node step (coalescing same-time updates) and
+// pushUtil records a used-node step (coalescing same-time updates) and
 // settles the just-closed segment into the running utilization integral.
 // Same-time overwrites never touch the integral: the segment they mutate has
 // zero width until a later point closes it at the final Used value.
 func (e *Engine) pushUtil(t float64) {
-	us := &e.acc.UtilSeries
-	if n := len(*us); n > 0 {
-		last := &(*us)[n-1]
-		if last.T == t {
-			last.Used = e.used
+	if e.haveUtil {
+		if e.lastUtil.T == t {
+			e.lastUtil.Used = e.used
+			if e.cfg.History {
+				e.acc.UtilSeries[len(e.acc.UtilSeries)-1].Used = e.used
+			}
 			return
 		}
-		e.utilIntegral += float64(last.Used) * (t - last.T)
+		e.utilIntegral += float64(e.lastUtil.Used) * (t - e.lastUtil.T)
 	}
-	*us = append(*us, UtilPoint{T: t, Used: e.used})
+	e.lastUtil, e.haveUtil = UtilPoint{T: t, Used: e.used}, true
+	if e.cfg.History {
+		e.acc.UtilSeries = append(e.acc.UtilSeries, e.lastUtil)
+	}
 }
 
-// utilIntegralTo extends the settled integral from the last UtilSeries point
-// to t (t must not precede it; every caller passes a current-or-later time).
+// utilIntegralTo extends the settled integral from the last util point to t
+// (t must not precede it; every caller passes a current-or-later time).
 func (e *Engine) utilIntegralTo(t float64) float64 {
-	us := e.acc.UtilSeries
-	if len(us) == 0 {
-		return 0
-	}
-	last := us[len(us)-1]
-	if t <= last.T {
+	if !e.haveUtil || t <= e.lastUtil.T {
 		return e.utilIntegral
 	}
-	return e.utilIntegral + float64(last.Used)*(t-last.T)
+	return e.utilIntegral + float64(e.lastUtil.Used)*(t-e.lastUtil.T)
 }
 
 // UtilizationTo returns the average system utilization from the first

@@ -18,7 +18,7 @@ func job(id int64, size int, arr, run float64) trace.Job {
 func newEngine(t *testing.T, radix int) *Engine {
 	t.Helper()
 	tree := topology.MustNew(radix)
-	e, err := New(Config{Alloc: baseline.NewAllocator(tree), Scenario: scenario.None{}})
+	e, err := New(Config{Alloc: baseline.NewAllocator(tree), Scenario: scenario.None{}, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	}
 
 	tree := topology.MustNew(8)
-	batch, err := New(Config{Alloc: core.NewAllocator(tree), Scenario: scenario.None{}})
+	batch, err := New(Config{Alloc: core.NewAllocator(tree), Scenario: scenario.None{}, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestOnlineMatchesBatch(t *testing.T) {
 	drain(batch)
 
 	tree2 := topology.MustNew(8)
-	online, err := New(Config{Alloc: core.NewAllocator(tree2), Scenario: scenario.None{}})
+	online, err := New(Config{Alloc: core.NewAllocator(tree2), Scenario: scenario.None{}, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}

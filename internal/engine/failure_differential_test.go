@@ -58,6 +58,7 @@ func TestDegradedEnginesAcrossPolicies(t *testing.T) {
 					DisableBackfill: v.disableBackfill,
 					Window:          10,
 					OnFailure:       engine.FailRequeue,
+					History:         true,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -45,6 +45,7 @@ func runFailureChaos(t *testing.T, seed int64) {
 		Alloc:     core.NewAllocator(tree),
 		Window:    10,
 		OnFailure: engine.FailRequeue,
+		History:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

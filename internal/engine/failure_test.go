@@ -18,6 +18,7 @@ func newFailEngine(t *testing.T, tree *topology.FatTree, policy engine.FailurePo
 		Alloc:     core.NewAllocator(tree),
 		Window:    10,
 		OnFailure: policy,
+		History:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,7 @@ func runMalleabilityChaos(t *testing.T, policy string, seed int64) int64 {
 		Window:    10,
 		OnFailure: engine.FailShrink,
 		Elastic:   true,
+		History:   true,
 	})
 	if err != nil {
 		t.Fatal(err)

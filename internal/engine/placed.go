@@ -26,7 +26,7 @@ func (e *Engine) StartPlaced(j trace.Job, eff float64, pl *topology.Placement) (
 	if pl == nil {
 		return JobStatus{}, fmt.Errorf("engine: StartPlaced with nil placement")
 	}
-	if _, dup := e.jobs[j.ID]; dup {
+	if _, dup := e.Status(j.ID); dup {
 		return JobStatus{}, fmt.Errorf("engine: duplicate job id %d", j.ID)
 	}
 	if eff < 0 {

@@ -95,7 +95,7 @@ func TestStartPlacedOnRestrictedShard(t *testing.T) {
 	a := baseline.NewAllocator(tree)
 	a.State().RestrictToPods(0, 2)
 	cell := 2 * tree.PodNodes()
-	e, err := New(Config{Alloc: a, Scenario: scenario.None{}, TotalNodes: cell})
+	e, err := New(Config{Alloc: a, Scenario: scenario.None{}, TotalNodes: cell, History: true})
 	if err != nil {
 		t.Fatal(err)
 	}

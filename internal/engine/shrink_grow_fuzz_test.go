@@ -44,6 +44,7 @@ func runShrinkGrowDiff(t *testing.T, data []byte) {
 		cfg.Window = 10
 		cfg.OnFailure = engine.FailShrink
 		cfg.Elastic = true
+		cfg.History = true
 		eng, err := engine.New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -62,7 +62,7 @@ func checkIntegrals(t *testing.T, e *engine.Engine, seed int64, step int) {
 func TestIncrementalUtilizationMatchesSeriesWalk(t *testing.T) {
 	tree := topology.MustNew(4) // 16 nodes
 	for seed := int64(1); seed <= 6; seed++ {
-		e, err := engine.New(engine.Config{Alloc: core.NewAllocator(tree)})
+		e, err := engine.New(engine.Config{Alloc: core.NewAllocator(tree), History: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -171,6 +171,7 @@ func TestZeroFailureLedgerGolden(t *testing.T) {
 					Conservative:    v.conservative,
 					DisableBackfill: v.disableBackfill,
 					Window:          10,
+					History:         true,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -212,6 +213,7 @@ func TestZeroFailureLedgerGoldenElastic(t *testing.T) {
 					Window:          10,
 					Elastic:         true,
 					OnFailure:       engine.FailShrink,
+					History:         true,
 				})
 				if err != nil {
 					t.Fatal(err)

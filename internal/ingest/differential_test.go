@@ -27,7 +27,7 @@ import (
 
 func newAllocator(t *testing.T, name string, tree *topology.FatTree) engine.Config {
 	t.Helper()
-	cfg := engine.Config{}
+	cfg := engine.Config{History: true}
 	switch name {
 	case "Baseline":
 		cfg.Alloc = baseline.NewAllocator(tree)

@@ -107,9 +107,10 @@ type Batcher struct {
 	// slots as it takes ops out.
 	avail atomic.Int64
 
-	// mu gates enqueues against shutdown: producers hold the read side
-	// across the reserve-and-send sequence, CloseEnqueue takes the write
-	// side, so after CloseEnqueue no send is in flight.
+	// mu gates enqueues against shutdown and against Collect: producers hold
+	// the read side across the reserve-and-send sequence; CloseEnqueue takes
+	// the write side, so after CloseEnqueue no send is in flight; Collect
+	// takes it so that it sees multi-op enqueues whole.
 	mu     sync.RWMutex
 	closed bool
 
@@ -174,7 +175,16 @@ func (b *Batcher) C() <-chan *Op { return b.ops }
 // immediately-available op, up to the batch-size bound, appended into buf
 // (reused; contents overwritten). Queue slots are released as ops are
 // taken.
+//
+// It excludes producers for the few microseconds it runs: the write lock
+// waits out an Enqueue that is still sending and holds off new ones, so a
+// multi-op Enqueue is never collected in part. Otherwise a consumer that
+// outruns a producer's send loop would apply half a batch, find the queue
+// momentarily empty, and let the engine step its clock before the other half
+// arrives.
 func (b *Batcher) Collect(first *Op, buf []*Op) []*Op {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	buf = append(buf[:0], first)
 	b.avail.Add(1)
 	for len(buf) < b.maxBatch {

@@ -312,6 +312,27 @@ func (p *Partition) Verify(t *topology.FatTree) error {
 // partitions — spine uplinks per SpineSet/SpineSetR.
 func (p *Partition) Placement(t *topology.FatTree, job topology.JobID, demand int32) *topology.Placement {
 	pl := topology.NewPlacement(job, demand)
+	// Size the three slices once from the partition's shape (upper bounds: a
+	// remainder leaf or tree takes fewer) instead of growing them per append.
+	leaves := 0
+	for _, tr := range p.Trees {
+		leaves += len(tr.Leaves)
+	}
+	if n := leaves * p.NL; n > 0 {
+		pl.Nodes = make([]topology.NodeID, 0, n)
+	}
+	if n := leaves * len(p.S); n > 0 {
+		pl.LeafUps = make([]topology.LeafUpRef, 0, n)
+	}
+	if p.MultiTree() {
+		spines := 0
+		for _, i := range p.S {
+			spines += len(p.SpineSet[i])
+		}
+		if n := len(p.Trees) * spines; n > 0 {
+			pl.SpineUps = make([]topology.SpineUpRef, 0, n)
+		}
+	}
 	for _, tr := range p.Trees {
 		for _, lf := range tr.Leaves {
 			leafIdx := t.LeafIndex(tr.Pod, lf.Leaf)

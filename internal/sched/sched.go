@@ -120,6 +120,7 @@ func (s *Scheduler) Engine() (*engine.Engine, error) {
 		OnFailure:        s.OnFailure,
 		Elastic:          s.Elastic,
 		MeasureAllocTime: s.MeasureAllocTime,
+		History:          true, // Result is built from it
 	})
 }
 

@@ -109,6 +109,25 @@ func TestBatchSubmitEndpoint(t *testing.T) {
 	waitDrained(t, hs.URL)
 }
 
+// TestBatchResponseGoldenBytes pins the /v1/jobs:batch wire format on one
+// response mixing an accepted job, a validation error and an engine error, at
+// both shard counts. The bytes were recorded when the body was still a
+// map[string]any, so the typed struct that replaced it provably encodes the
+// same keys in the same order.
+func TestBatchResponseGoldenBytes(t *testing.T) {
+	const body = `{"jobs":[{"id":4,"size":4,"runtime":10},{"size":0,"runtime":10},{"id":4,"size":2,"runtime":5}]}`
+	const want = `202 {"accepted":1,"failed":2,"results":[` +
+		`{"id":4,"size":4,"runtime":10,"eff_runtime":10,"arrival":0,"state":"running","start":0,"end":10},` +
+		`{"error":"size must be at least 1"},` +
+		`{"error":"engine: duplicate job id 4"}]}`
+	for _, shards := range []int{1, 4} {
+		_, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), VirtualClock: true, Shards: shards})
+		if got := do(t, "POST", hs.URL+"/v1/jobs:batch", body); got != want {
+			t.Errorf("shards=%d\n got  %s\n want %s", shards, got, want)
+		}
+	}
+}
+
 func TestBatchLargerThanQueueCapacityRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{VirtualClock: true, IngestQueue: 4})
 	items := make([]string, 5)

@@ -179,7 +179,7 @@ func TestCrossStatusTerminalMerged(t *testing.T) {
 	s.cross.mu.Lock()
 	s.cross.jobs[777] = cj
 	s.cross.mu.Unlock()
-	s.owner.Store(int64(777), crossOwner)
+	s.owner.loadOrStore(777, crossOwner)
 
 	st, err := s.cross.status(777)
 	if err != nil {

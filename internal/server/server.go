@@ -157,11 +157,56 @@ const (
 	publishMinInterval  = 25 * time.Millisecond
 	publishCostMultiple = 20
 	publishMaxInterval  = time.Second
+	// readHeaderTimeout bounds how long a connection may take to send its
+	// request headers, so a client that stalls mid-header cannot hold a
+	// connection (and its goroutine) forever; idleTimeout closes keep-alive
+	// connections that stay silent between requests. Neither limits a slow
+	// body or a long-running handler.
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // crossOwner marks a job routed to the cross-shard coordinator in the owner
 // map (lane indices are >= 0).
 const crossOwner = -1
+
+// ownerStripes is the number of independently-locked parts of an ownerMap.
+// Gateway-assigned IDs are sequential, so id mod ownerStripes spreads them
+// evenly.
+const ownerStripes = 16
+
+// ownerMap records job ID -> owning lane index (or crossOwner) for every job
+// the gateway ever routed. Entries are never removed, so the maps hold
+// neither pointers nor boxed values: the garbage collector does not scan
+// their storage however many jobs the daemon has seen.
+type ownerMap [ownerStripes]struct {
+	mu sync.Mutex
+	m  map[int64]int32
+}
+
+func (o *ownerMap) load(id int64) (int, bool) {
+	st := &o[uint64(id)%ownerStripes]
+	st.mu.Lock()
+	li, ok := st.m[id]
+	st.mu.Unlock()
+	return int(li), ok
+}
+
+// loadOrStore returns the recorded owner of id if there is one (loaded true),
+// and records li otherwise.
+func (o *ownerMap) loadOrStore(id int64, li int) (owner int, loaded bool) {
+	st := &o[uint64(id)%ownerStripes]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if got, ok := st.m[id]; ok {
+		return int(got), true
+	}
+	if st.m == nil {
+		st.m = map[int64]int32{}
+	}
+	st.m[id] = int32(li)
+	return li, false
+}
 
 // Server is one daemon instance: one lane per shard, the routing gateway,
 // and the HTTP surface. Create with New, serve with Serve/ListenAndServe or
@@ -185,7 +230,7 @@ type Server struct {
 	nextID atomic.Int64
 	// owner maps job ID -> owning lane index (or crossOwner). Only
 	// populated when Shards > 1.
-	owner sync.Map
+	owner ownerMap
 	// cross is the wide-job coordinator; nil when Shards == 1.
 	cross *coordinator
 
@@ -384,7 +429,11 @@ func (s *Server) Handler() http.Handler {
 // Serve accepts connections until ctx is cancelled, then shuts down
 // gracefully: in-flight requests drain (up to 10s) before the engine stops.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
+	return s.serve(ctx, ln, readHeaderTimeout, idleTimeout)
+}
+
+func (s *Server) serve(ctx context.Context, ln net.Listener, readHeader, idle time.Duration) error {
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeader, IdleTimeout: idle}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -579,16 +628,12 @@ func (s *Server) assignAndRoute(req *submitRequest) (int, error) {
 	if req.Size <= s.maxCell {
 		want = s.routeLane(req.ID, req.Size)
 	}
-	got, loaded := s.owner.LoadOrStore(req.ID, want)
-	li := got.(int)
-	if loaded {
+	li, loaded := s.owner.loadOrStore(req.ID, want)
+	if loaded && li == crossOwner {
 		// Existing ID: a lane-owned duplicate is submitted to its owning
 		// lane so the engine reports the duplicate exactly as a single
 		// engine would; a cross-owned duplicate is rejected here.
-		if li == crossOwner {
-			return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
-		}
-		return li, nil
+		return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
 	}
 	return li, nil
 }
@@ -789,6 +834,15 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest)
 	writeBatchResults(w, results)
 }
 
+// batchResponse is the /v1/jobs:batch response body. Fields are declared in
+// wire order, which is the alphabetical order encoding/json gave the map this
+// struct replaced (TestBatchResponseGoldenBytes).
+type batchResponse struct {
+	Accepted int               `json:"accepted"`
+	Failed   int               `json:"failed"`
+	Results  []batchItemResult `json:"results"`
+}
+
 func writeBatchResults(w http.ResponseWriter, results []batchItemResult) {
 	accepted := 0
 	for i := range results {
@@ -796,29 +850,15 @@ func writeBatchResults(w http.ResponseWriter, results []batchItemResult) {
 			accepted++
 		}
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"accepted": accepted,
-		"failed":   len(results) - accepted,
-		"results":  results,
+	writeJSON(w, http.StatusAccepted, batchResponse{
+		Accepted: accepted,
+		Failed:   len(results) - accepted,
+		Results:  results,
 	})
 }
 
 func jobID(r *http.Request) (int64, error) {
 	return strconv.ParseInt(r.PathValue("id"), 10, 64)
-}
-
-// laneFor resolves a job ID to its owning lane when sharded: the recorded
-// owner, or (-1, false) for cross-owned / unknown IDs.
-func (s *Server) laneFor(id int64) (int, bool) {
-	got, ok := s.owner.Load(id)
-	if !ok {
-		return 0, false
-	}
-	li := got.(int)
-	if li == crossOwner {
-		return crossOwner, true
-	}
-	return li, true
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
@@ -829,7 +869,7 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	}
 	l := s.lane
 	if s.sharded() {
-		li, ok := s.laneFor(id)
+		li, ok := s.owner.load(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown job %d", id)
 			return
@@ -872,7 +912,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	l := s.lane
 	if s.sharded() {
-		li, ok := s.laneFor(id)
+		li, ok := s.owner.load(id)
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown job %d", id)
 			return

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -359,4 +361,73 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	// Close is idempotent.
 	s.Close()
+}
+
+// TestServeDropsStalledHeaderKeepsIdleKeepAlive pins the listener's timeouts:
+// a client that sends half a request header is disconnected once the header
+// deadline passes, while a keep-alive client that stays silent between two
+// requests for longer than that deadline keeps its connection.
+func TestServeDropsStalledHeaderKeepsIdleKeepAlive(t *testing.T) {
+	if readHeaderTimeout <= 0 || idleTimeout <= readHeaderTimeout {
+		t.Fatalf("Serve's timeouts: header %v, idle %v", readHeaderTimeout, idleTimeout)
+	}
+	const headerDeadline = 150 * time.Millisecond
+	s, err := New(Config{Alloc: core.NewAllocator(topology.MustNew(4)), VirtualClock: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- s.serve(ctx, ln, headerDeadline, time.Minute) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetDeadline(time.Now().Add(10 * time.Second)) // fail the test, not hang it
+		return c
+	}
+
+	stalled := dial()
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "GET /healthz HTTP/1.1\r\nHost: jigsawd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	if _, err := io.Copy(io.Discard, stalled); err != nil {
+		t.Fatalf("stalled-header connection was not closed by the server: %v", err)
+	}
+	if waited := time.Since(t0); waited < headerDeadline/2 {
+		t.Fatalf("stalled-header connection closed after %v, before the %v deadline", waited, headerDeadline)
+	}
+
+	keepAlive := dial()
+	defer keepAlive.Close()
+	br := bufio.NewReader(keepAlive)
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(3 * headerDeadline) // idle between requests is not a stalled header
+		}
+		if _, err := io.WriteString(keepAlive, "GET /healthz HTTP/1.1\r\nHost: jigsawd\r\n\r\n"); err != nil {
+			t.Fatalf("request %d on the keep-alive connection: %v", i, err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("response %d on the keep-alive connection: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("response %d: status %d", i, resp.StatusCode)
+		}
+	}
 }

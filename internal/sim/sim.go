@@ -65,4 +65,11 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(Event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = Event{} // do not pin the delivered payload from the spare capacity
+	*h = old[:n-1]
+	return e
+}

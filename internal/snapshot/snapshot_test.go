@@ -16,7 +16,7 @@ import (
 
 func newEngine(t *testing.T) *engine.Engine {
 	t.Helper()
-	e, err := engine.New(engine.Config{Alloc: core.NewAllocator(topology.MustNew(4))})
+	e, err := engine.New(engine.Config{Alloc: core.NewAllocator(topology.MustNew(4)), History: true})
 	if err != nil {
 		t.Fatal(err)
 	}
