@@ -7,7 +7,7 @@
 //
 //	jigsawd [-addr :8080] [-radix 16] [-policy jigsaw] [-clock wall|virtual]
 //	        [-scenario None] [-window 50] [-no-backfill] [-fail-policy requeue]
-//	        [-elastic] [-v]
+//	        [-elastic] [-shards 1] [-v]
 //
 // With -clock virtual the daemon fast-forwards through events whenever it is
 // idle, which replays a submitted trace as fast as the allocator can place
@@ -51,18 +51,17 @@ func main() {
 		noBackfill = flag.Bool("no-backfill", false, "disable EASY backfilling (pure FIFO)")
 		failPolicy = flag.String("fail-policy", "requeue", "what happens to running jobs hit by POST /v1/fail: requeue|kill|shrink")
 		elastic    = flag.Bool("elastic", false, "accept elastic jobs (min_nodes/max_nodes/priority/deadline): shrink under -fail-policy shrink, grow into idle capacity, deadline admission, priority preemption")
-		shards     = flag.Int("shards", 1, "split the fabric into this many per-cell engines (1 = classic single engine)")
-		route      = flag.String("route", "hash", "single-shard routing policy: hash (deterministic) or spread (least-loaded)")
+		shards     = flag.Int("shards", 1, "split the fabric into this many per-cell engines (1 = one engine over the whole tree)")
 		verbose    = flag.Bool("v", false, "log every request")
 	)
 	flag.Parse()
-	if err := run(*addr, *radix, *policy, *clock, *scenarioN, *window, *noBackfill, *failPolicy, *elastic, *shards, *route, *verbose); err != nil {
+	if err := run(*addr, *radix, *policy, *clock, *scenarioN, *window, *noBackfill, *failPolicy, *elastic, *shards, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "jigsawd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr string, radix int, policy, clock, scenarioName string, window int, noBackfill bool, failPolicy string, elastic bool, shards int, route string, verbose bool) error {
+func run(addr string, radix int, policy, clock, scenarioName string, window int, noBackfill bool, failPolicy string, elastic bool, shards int, verbose bool) error {
 	scheme, err := canonicalScheme(policy)
 	if err != nil {
 		return err
@@ -109,7 +108,6 @@ func run(addr string, radix int, policy, clock, scenarioName string, window int,
 		VirtualClock:    virtual,
 		Logger:          logger,
 		Shards:          shards,
-		Route:           route,
 	})
 	if err != nil {
 		return err

@@ -52,20 +52,20 @@ import (
 
 func main() {
 	var (
-		target  = flag.String("target", "", "base URL of a running jigsawd; empty starts an in-process daemon")
-		mode    = flag.String("mode", "closed", "closed (K workers back-to-back) or open (fixed arrival rate)")
-		workers = flag.Int("workers", 8, "closed-loop concurrency")
-		rate    = flag.Float64("rate", 1000, "open-loop request arrival rate per second")
-		dur     = flag.Duration("duration", 5*time.Second, "how long to generate load")
-		batch    = flag.Int("batch", 1, "jobs per request; >1 uses POST /v1/jobs:batch")
-		sizeMin  = flag.Int("size-min", 1, "minimum job size in nodes")
-		sizeMax  = flag.Int("size-max", 32, "maximum job size in nodes")
-		wideFrac = flag.Float64("wide-frac", 0, "fraction of requests that submit one cross-shard-sized job (sharded targets only)")
+		target      = flag.String("target", "", "base URL of a running jigsawd; empty starts an in-process daemon")
+		mode        = flag.String("mode", "closed", "closed (K workers back-to-back) or open (fixed arrival rate)")
+		workers     = flag.Int("workers", 8, "closed-loop concurrency")
+		rate        = flag.Float64("rate", 1000, "open-loop request arrival rate per second")
+		dur         = flag.Duration("duration", 5*time.Second, "how long to generate load")
+		batch       = flag.Int("batch", 1, "jobs per request; >1 uses POST /v1/jobs:batch")
+		sizeMin     = flag.Int("size-min", 1, "minimum job size in nodes")
+		sizeMax     = flag.Int("size-max", 32, "maximum job size in nodes")
+		wideFrac    = flag.Float64("wide-frac", 0, "fraction of requests that submit one cross-shard-sized job (sharded targets only)")
 		elasticFrac = flag.Float64("elastic-frac", 0, "fraction of jobs submitted with elastic bounds (min_nodes=size/2, max_nodes=2*size) and alternating priority; requires an elastic target (in-process daemons turn -elastic on automatically)")
-		jobRun   = flag.Float64("job-runtime", 60, "submitted job runtime in (virtual) seconds")
-		seed     = flag.Int64("seed", 1, "job-mix RNG seed")
-		records  = flag.String("records", "", "write one JSON line per request to this file")
-		asJSON   = flag.Bool("json", false, "print the summary as JSON instead of text")
+		jobRun      = flag.Float64("job-runtime", 60, "submitted job runtime in (virtual) seconds")
+		seed        = flag.Int64("seed", 1, "job-mix RNG seed")
+		records     = flag.String("records", "", "write one JSON line per request to this file")
+		asJSON      = flag.Bool("json", false, "print the summary as JSON instead of text")
 
 		// In-process daemon knobs (ignored with -target).
 		radix  = flag.Int("radix", 8, "in-process fat-tree radix (8=256 nodes)")
@@ -83,7 +83,7 @@ func main() {
 		batch: *batch, sizeMin: *sizeMin, sizeMax: *sizeMax, wideFrac: *wideFrac,
 		elasticFrac: *elasticFrac,
 		jobRuntime:  *jobRun,
-		seed: *seed, records: *records, asJSON: *asJSON,
+		seed:        *seed, records: *records, asJSON: *asJSON,
 		radix: *radix, policy: *policy, clock: *clock, shards: *shards,
 		minThroughput: *minThroughput, failOnError: *failOnError,
 	}); err != nil {

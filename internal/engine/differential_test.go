@@ -134,7 +134,7 @@ func runDifferentialHistory(t *testing.T, policy, variant string, seed int64, tr
 		}
 		return eng
 	}
-	et := mk(at)                                 // transaction mode
+	et := mk(at)                                    // transaction mode
 	ec := mk(cloneOnly{newPolicy(t, policy, tree)}) // clone mode
 	drivePair(t, policy, variant, seed, tree, et, ec, at)
 }

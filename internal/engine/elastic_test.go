@@ -3,8 +3,7 @@ package engine_test
 // Unit tests for the malleability layer: shrink under FailShrink (with the
 // work-conservation arithmetic and the requeue fallback), grow into freed
 // capacity, priority preemption with checkpoint-requeue, deadline admission
-// verdicts, the PartitionFinder verify guard, and the deprecated
-// shrink-none alias.
+// verdicts, the PartitionFinder verify guard, and the policy's wire name.
 
 import (
 	"math"
@@ -351,18 +350,18 @@ func TestElasticMovesConsultVerifiedPartitions(t *testing.T) {
 	}
 }
 
-func TestFailShrinkDeprecatedAlias(t *testing.T) {
-	if engine.FailShrinkNone != engine.FailShrink {
-		t.Fatal("FailShrinkNone is not an alias of FailShrink")
-	}
-	for _, name := range []string{"shrink", "shrink-none"} {
-		p, err := engine.ParseFailurePolicy(name)
-		if err != nil || p != engine.FailShrink {
-			t.Fatalf("ParseFailurePolicy(%q) = %v, %v", name, p, err)
-		}
+// TestFailShrinkWireName pins the policy's one spelling; the retired
+// "shrink-none" fails like any other unknown policy.
+func TestFailShrinkWireName(t *testing.T) {
+	if p, err := engine.ParseFailurePolicy("shrink"); err != nil || p != engine.FailShrink {
+		t.Fatalf("ParseFailurePolicy(\"shrink\") = %v, %v", p, err)
 	}
 	if got := engine.FailShrink.String(); got != "shrink" {
 		t.Fatalf("FailShrink.String() = %q, want \"shrink\"", got)
+	}
+	_, err := engine.ParseFailurePolicy("shrink-none")
+	if want := `engine: unknown failure policy "shrink-none"`; err == nil || err.Error() != want {
+		t.Fatalf("ParseFailurePolicy(\"shrink-none\") error = %v, want %s", err, want)
 	}
 }
 

@@ -125,17 +125,9 @@ const (
 	// [MinSize, Size], conserving its remaining work (DESIGN.md §18). It
 	// requires Config.Elastic; rigid jobs — and every job when Elastic is
 	// off — fall back to whole-job requeue, making the policy behaviorally
-	// identical to FailRequeue on pre-elastic traces (this is the successor
-	// of the PR-5 "shrink-none" placeholder, which made exactly that
-	// no-shrink contract explicit).
+	// identical to FailRequeue on pre-elastic traces.
 	FailShrink
 )
-
-// FailShrinkNone is the deprecated name of FailShrink, kept so existing
-// code and scripts using the PR-5 placeholder keep compiling and parsing.
-//
-// Deprecated: use FailShrink.
-const FailShrinkNone = FailShrink
 
 // String returns the wire name used by flags and the HTTP API.
 func (p FailurePolicy) String() string {
@@ -157,7 +149,7 @@ func ParseFailurePolicy(s string) (FailurePolicy, error) {
 		return FailRequeue, nil
 	case "kill":
 		return FailKill, nil
-	case "shrink", "shrink-none": // "shrink-none" is the deprecated PR-5 name
+	case "shrink":
 		return FailShrink, nil
 	}
 	return 0, fmt.Errorf("engine: unknown failure policy %q", s)

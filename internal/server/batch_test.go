@@ -7,6 +7,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/ingest"
 	"repro/internal/topology"
 )
 
@@ -140,79 +142,137 @@ func TestBatchLargerThanQueueCapacityRejected(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 pins the satellite fix: when the ingest queue is full,
-// submits answer 429 with Retry-After immediately instead of blocking the
-// HTTP goroutine, and the shed load shows up in
-// jigsawd_ingest_rejected_total.
+// TestBackpressure429 pins the overload contract at 1 and 4 lanes: when every
+// ingest queue is full, a submit and a batch both answer 429 with Retry-After
+// immediately instead of blocking the HTTP goroutine, and the shed load shows
+// up in jigsawd_ingest_rejected_total. A batch that one lane admits and
+// another sheds is still a 202 with per-item errors, and carries the header.
 func TestBackpressure429(t *testing.T) {
-	s, hs := newTestServer(t, Config{
-		NowFunc:     func() float64 { return 0 },
-		IngestQueue: 2,
-	})
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, hs := newTestServer(t, Config{
+				NowFunc:     func() float64 { return 0 },
+				IngestQueue: 2,
+				Shards:      shards,
+			})
 
-	// Park the engine goroutine inside an admin closure so nothing drains.
-	gate := make(chan struct{})
-	parked := make(chan struct{})
-	adminDone := make(chan error, 1)
-	go func() { adminDone <- s.do(func(e *engine.Engine) { close(parked); <-gate }) }()
-	<-parked
-
-	// Fill the queue with two async submits; their handlers block in Wait.
-	inflight := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
-				strings.NewReader(`{"size":1,"runtime":5}`))
-			if err != nil {
-				inflight <- -1
-				return
+			// Park every engine goroutine inside an admin closure so nothing
+			// drains.
+			gates := make([]chan struct{}, shards)
+			release := func() {
+				for i, gate := range gates {
+					if gate != nil {
+						close(gate)
+						gates[i] = nil
+					}
+				}
 			}
-			resp.Body.Close()
-			inflight <- resp.StatusCode
-		}()
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.batcher.Len() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("ingest queue never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+			defer release() // a failed assertion must not leave Close waiting on a parked lane
+			adminDone := make(chan error, shards)
+			for i, l := range s.lanes {
+				gate, parked := make(chan struct{}), make(chan struct{})
+				gates[i] = gate
+				go func() { adminDone <- l.do(func(e *engine.Engine) { close(parked); <-gate }) }()
+				<-parked
+			}
 
-	// The next submit is shed, not blocked.
-	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"size":1,"runtime":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overload status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After")
-	}
-	// Batch submits shed the same way (all-or-nothing admission).
-	if code, _ := postBatch(t, hs.URL, `{"jobs":[{"size":1,"runtime":5}]}`); code != http.StatusTooManyRequests {
-		t.Fatalf("batch overload status %d, want 429", code)
-	}
+			// Fill every queue with async submits; their handlers block in Wait.
+			// The gateway assigns IDs 1..2*shards and hash routing sends two of
+			// them to each lane.
+			inflight := make(chan int, 2*shards)
+			for i := 0; i < 2*shards; i++ {
+				go func() {
+					resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+						strings.NewReader(`{"size":1,"runtime":5}`))
+					if err != nil {
+						inflight <- -1
+						return
+					}
+					resp.Body.Close()
+					inflight <- resp.StatusCode
+				}()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for _, l := range s.lanes {
+				for l.batcher.Len() < 2 {
+					if time.Now().After(deadline) {
+						t.Fatal("ingest queues never filled")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
 
-	// Reads still work while the writer is wedged — they are snapshot-served
-	// — and the rejected counter is already visible.
-	_, body := getText(t, hs.URL+"/metrics")
-	if !strings.Contains(body, "jigsawd_ingest_rejected_total 2") {
-		t.Fatalf("metrics missing rejected counter:\n%s", grepLines(body, "jigsawd_ingest"))
-	}
+			// The next submit is shed, not blocked, and so is a batch no lane
+			// admits.
+			shed := func(path, body string) {
+				t.Helper()
+				resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusTooManyRequests {
+					t.Fatalf("%s overload status %d, want 429", path, resp.StatusCode)
+				}
+				if ra := resp.Header.Get("Retry-After"); ra == "" {
+					t.Fatalf("%s: 429 without Retry-After", path)
+				}
+			}
+			shed("/v1/jobs", `{"size":1,"runtime":5}`)
+			shed("/v1/jobs:batch", `{"jobs":[{"size":1,"runtime":5}]}`)
 
-	// Unblock; the two accepted submits must complete normally.
-	close(gate)
-	if err := <-adminDone; err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if code := <-inflight; code != http.StatusAccepted {
-			t.Fatalf("accepted submit finished with %d", code)
-		}
+			// Reads still work while the writers are wedged — they are
+			// snapshot-served — and the rejected counter is already visible.
+			_, body := getText(t, hs.URL+"/metrics")
+			if !strings.Contains(body, "jigsawd_ingest_rejected_total 2") {
+				t.Fatalf("metrics missing rejected counter:\n%s", grepLines(body, "jigsawd_ingest"))
+			}
+
+			if shards > 1 {
+				// Let lane 0 drain; explicit IDs 100 and 101 hash to lanes 0 and
+				// 1, so lane 0 admits its item and lane 1 sheds the other.
+				close(gates[0])
+				gates[0] = nil
+				for s.lanes[0].batcher.Len() > 0 {
+					if time.Now().After(deadline) {
+						t.Fatal("lane 0 never drained")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				resp, err := http.Post(hs.URL+"/v1/jobs:batch", "application/json", strings.NewReader(
+					`{"jobs":[{"id":100,"size":1,"runtime":5},{"id":101,"size":1,"runtime":5}]}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var br batchResult
+				err = json.NewDecoder(resp.Body).Decode(&br)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusAccepted || resp.Header.Get("Retry-After") == "" {
+					t.Fatalf("partly-shed batch: status %d, Retry-After %q, decode %v",
+						resp.StatusCode, resp.Header.Get("Retry-After"), err)
+				}
+				if br.Accepted != 1 || br.Failed != 1 || br.Results[0].ID != 100 ||
+					br.Results[1].Error != ingest.ErrOverloaded.Error() {
+					t.Fatalf("partly-shed batch: %+v", br)
+				}
+				if _, body := getText(t, hs.URL+"/metrics"); !strings.Contains(body, "jigsawd_ingest_rejected_total 3") {
+					t.Fatalf("metrics after the partly-shed batch:\n%s", grepLines(body, "jigsawd_ingest"))
+				}
+			}
+
+			// Unblock; the accepted submits must complete normally.
+			release()
+			for range s.lanes {
+				if err := <-adminDone; err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 2*shards; i++ {
+				if code := <-inflight; code != http.StatusAccepted {
+					t.Fatalf("accepted submit finished with %d", code)
+				}
+			}
+		})
 	}
 }
 
@@ -373,7 +433,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 				}
 				resp.Body.Close()
 				select {
-				case <-s.done:
+				case <-s.lanes[0].done:
 					return
 				default:
 				}
@@ -389,7 +449,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 	// released after the snapshot covering their ops is published, and the
 	// shutdown drain applies everything already accepted, so the final view
 	// counts exactly the jobs clients saw acknowledged.
-	if got := s.pub.Load().Snap.Counts.Submitted; got != acceptedJobs.Load() {
+	if got := s.lanes[0].pub.Load().Snap.Counts.Submitted; got != acceptedJobs.Load() {
 		t.Fatalf("engine submitted %d, clients saw %d accepted", got, acceptedJobs.Load())
 	}
 	// And late requests fail cleanly.
@@ -401,7 +461,7 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("post-close submit status %d, want 503", resp.StatusCode)
 	}
-	if err := s.do(func(e *engine.Engine) {}); err != ErrClosed {
+	if err := s.lanes[0].do(func(e *engine.Engine) {}); err != ErrClosed {
 		t.Fatalf("post-close do = %v, want ErrClosed", err)
 	}
 }

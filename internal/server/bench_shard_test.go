@@ -4,8 +4,8 @@ package server
 // throughput through the gateway at 1, 2, and 4 shards on a radix-32 tree
 // (8192 nodes, 32 pods). One op = one job accepted; every job is
 // single-shard sized so the gateway routes it to a lane and the per-shard
-// engines drain in parallel. shards=1 takes the unsharded fast path and so
-// doubles as the no-regression reference for the pre-shard submit path.
+// engines drain in parallel. shards=1 is the same gateway over one lane, the
+// no-regression reference for the submit path.
 //
 // Recorded in BENCH_8.json; see EXPERIMENTS.md. On a single-CPU host the
 // shard goroutines time-slice one core, so the >=2.5x parallel-speedup

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/shard"
+	"repro/internal/snapshot"
 	"repro/internal/topology"
 )
 
@@ -75,7 +76,7 @@ func decodeFailure(w http.ResponseWriter, r *http.Request) (topology.Failure, bo
 
 // failurePod maps a single-pod failure domain to its pod, or -1 for
 // spine-switch failures, which span every pod (each spine serves one L2
-// position of all pods) and must be applied to every shard.
+// position of all pods) and must be applied to every lane.
 func (s *Server) failurePod(f topology.Failure) int {
 	switch f.Kind {
 	case topology.FailureNode:
@@ -89,81 +90,47 @@ func (s *Server) failurePod(f topology.Failure) int {
 	}
 }
 
-// failureLane resolves the lane owning a failure's pod; the bool is false
-// for cross-cutting (spine-switch) failures.
-func (s *Server) failureLane(f topology.Failure) (*lane, bool) {
+// failureLanes returns the lanes a failure touches: the lane owning its pod,
+// or every lane for a spine-switch failure.
+func (s *Server) failureLanes(f topology.Failure) []*lane {
 	pod := s.failurePod(f)
 	if pod < 0 {
-		return nil, false
+		return s.lanes
 	}
-	if ci := shard.CellOf(s.cells, pod); ci >= 0 {
-		return s.lanes[ci], true
+	ci := shard.CellOf(s.cells, pod)
+	if ci < 0 {
+		// Out-of-range identifiers: let lane 0's engine produce its usual
+		// validation error.
+		ci = 0
 	}
-	// Out-of-range identifiers: let lane 0's engine produce its usual
-	// validation error.
-	return s.lane, true
+	return s.lanes[ci : ci+1]
 }
 
+// handleFail applies the failure to the lanes it touches in ascending order,
+// reverting the already-applied lanes if a later one refuses, so the fabric
+// is never left partially failed.
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	f, ok := decodeFailure(w, r)
 	if !ok {
 		return
 	}
-	l, single := s.failureLane(f)
-	if !single && s.sharded() {
-		s.failAllLanes(w, f)
-		return
-	}
-	if !single {
-		l = s.lane
-	}
-	var rep engine.FailReport
-	var failErr error
-	err := l.do(func(e *engine.Engine) { rep, failErr = e.Fail(f) })
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if failErr != nil {
-		writeError(w, http.StatusConflict, "%v", failErr)
-		return
-	}
-	s.log.Warn("resource failed", "failure", f.String(),
-		"affected", rep.Affected, "requeued", rep.Requeued, "killed", rep.Killed, "shrunk", rep.Shrunk)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"failure":  f.String(),
-		"affected": rep.Affected,
-		"requeued": rep.Requeued,
-		"killed":   rep.Killed,
-		"shrunk":   rep.Shrunk,
-	})
-}
-
-// failAllLanes applies a spine-switch failure to every shard in ascending
-// lane order, reverting the already-applied lanes if a later one rejects it
-// so the fabric is never left partially failed.
-func (s *Server) failAllLanes(w http.ResponseWriter, f topology.Failure) {
+	lanes := s.failureLanes(f)
 	var agg engine.FailReport
-	applied := make([]*lane, 0, len(s.lanes))
-	revert := func() {
-		for _, l := range applied {
-			l.do(func(e *engine.Engine) { e.Recover(f) })
-		}
-	}
-	for _, l := range s.lanes {
+	for i, l := range lanes {
 		var rep engine.FailReport
 		var failErr error
-		if err := l.do(func(e *engine.Engine) { rep, failErr = e.Fail(f) }); err != nil {
-			revert()
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+		err := l.do(func(e *engine.Engine) { rep, failErr = e.Fail(f) })
+		if err != nil || failErr != nil {
+			for _, applied := range lanes[:i] {
+				applied.do(func(e *engine.Engine) { e.Recover(f) })
+			}
+			if err != nil {
+				writeError(w, http.StatusServiceUnavailable, "%v", err)
+			} else {
+				writeError(w, http.StatusConflict, "%v", failErr)
+			}
 			return
 		}
-		if failErr != nil {
-			revert()
-			writeError(w, http.StatusConflict, "%v", failErr)
-			return
-		}
-		applied = append(applied, l)
 		agg.Affected += rep.Affected
 		agg.Requeued += rep.Requeued
 		agg.Killed += rep.Killed
@@ -180,53 +147,21 @@ func (s *Server) failAllLanes(w http.ResponseWriter, f topology.Failure) {
 	})
 }
 
+// handleRecover undoes the failure on the lanes it touches. Every lane is
+// attempted (a partial recovery is strictly better than none); the first
+// rejection is reported if any lane refused.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 	f, ok := decodeFailure(w, r)
 	if !ok {
 		return
 	}
-	l, single := s.failureLane(f)
-	if !single && s.sharded() {
-		s.recoverAllLanes(w, f)
-		return
-	}
-	if !single {
-		l = s.lane
-	}
-	var recErr error
-	var degraded bool
-	err := l.do(func(e *engine.Engine) {
-		recErr = e.Recover(f)
-		degraded = e.Degraded()
-	})
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	if recErr != nil {
-		writeError(w, http.StatusConflict, "%v", recErr)
-		return
-	}
-	s.log.Info("resource recovered", "failure", f.String(), "degraded", degraded)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"failure":  f.String(),
-		"degraded": degraded,
-	})
-}
-
-// recoverAllLanes undoes a spine-switch failure on every shard. All lanes
-// are attempted (a partial recovery is strictly better than none); the
-// first rejection is reported if any lane refused.
-func (s *Server) recoverAllLanes(w http.ResponseWriter, f topology.Failure) {
 	var firstErr error
 	degraded := false
-	for _, l := range s.lanes {
+	for _, l := range s.failureLanes(f) {
 		var recErr error
 		if err := l.do(func(e *engine.Engine) {
 			recErr = e.Recover(f)
-			if e.Degraded() {
-				degraded = true
-			}
+			degraded = degraded || e.Degraded()
 		}); err != nil {
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 			return
@@ -246,6 +181,11 @@ func (s *Server) recoverAllLanes(w http.ResponseWriter, f topology.Failure) {
 	})
 }
 
+// failedResources counts the nodes, links and switches a view reports failed.
+func failedResources(v *snapshot.View) int {
+	return v.Snap.FailedNodes + v.Snap.FailedLinks + v.Snap.FailedSwitches
+}
+
 // handleHealthz is the liveness probe. A degraded fabric still answers 200 —
 // the daemon is alive and scheduling around the failures — but the body says
 // "degraded" so probes and humans can tell the difference at a glance. It is
@@ -253,7 +193,7 @@ func (s *Server) recoverAllLanes(w http.ResponseWriter, f topology.Failure) {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	v := s.view()
 	w.WriteHeader(http.StatusOK)
-	if v.Snap.FailedNodes+v.Snap.FailedLinks+v.Snap.FailedSwitches > 0 {
+	if failedResources(v) > 0 {
 		io.WriteString(w, "degraded\n")
 		return
 	}

@@ -1,11 +1,10 @@
 package server
 
-// A lane is one shard's scheduling engine plus everything that used to be
-// the single-engine daemon's machinery: the owning goroutine, the bounded
-// ingest queue, the RCU snapshot publisher, and the per-lane latency
-// instruments. The Server (server.go) is a thin routing gateway over one or
-// more lanes; with one lane it degenerates to exactly the pre-shard daemon
-// (Server embeds lane 0, so the old field and method names still resolve).
+// A lane is one shard's scheduling engine plus the machinery that makes it a
+// service: the goroutine that owns the engine, the bounded ingest queue in
+// front of it, the RCU snapshot publisher behind it, and the per-lane latency
+// instruments. The Server (server.go) is a routing gateway over its lanes and
+// never touches an engine except through one.
 
 import (
 	"math"
@@ -48,8 +47,8 @@ type lane struct {
 	publishPending bool
 	publishCost    time.Duration
 
-	// onFree, set once before the loop starts (sharded servers point it at
-	// the cross-shard coordinator's wake), is called from the engine
+	// onFree, set once before the loop starts (a server with a coordinator
+	// points it at the coordinator's wake), is called from the engine
 	// goroutine after a publish whose snapshot shows capacity coming back:
 	// free nodes up, or failed resources down. Completions, cancels, and
 	// recoveries all publish, so every event that could unblock a waiting
@@ -249,7 +248,7 @@ func (l *lane) publishNow() {
 	l.lastPublish = t0
 	l.publishPending = false
 	if l.onFree != nil {
-		failed := v.Snap.FailedNodes + v.Snap.FailedLinks + v.Snap.FailedSwitches
+		failed := failedResources(v)
 		if v.Snap.FreeNodes > l.lastFreeNodes || failed < l.lastFailedRes {
 			l.onFree()
 		}

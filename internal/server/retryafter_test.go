@@ -9,12 +9,12 @@ import (
 	"repro/internal/ingest"
 )
 
-// retryAfterServer builds a bare Server with a batcher holding depth queued
+// retryAfterLane builds a bare lane with a batcher holding depth queued
 // ops and the given measured drain rate, without starting the engine
 // goroutine — retryAfterSeconds reads only those two inputs.
-func retryAfterServer(t *testing.T, queueCap, depth int, rate float64) *Server {
+func retryAfterLane(t *testing.T, queueCap, depth int, rate float64) *lane {
 	t.Helper()
-	s := &Server{lane: &lane{batcher: ingest.NewBatcher(queueCap, 16)}}
+	s := &lane{batcher: ingest.NewBatcher(queueCap, 16)}
 	for i := 0; i < depth; i++ {
 		if _, err := s.batcher.Enqueue(&ingest.Op{Kind: ingest.Cancel, ID: int64(i)}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
@@ -46,7 +46,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := retryAfterServer(t, c.depth+1, c.depth, c.rate)
+			s := retryAfterLane(t, c.depth+1, c.depth, c.rate)
 			if got := s.retryAfterSeconds(); got != c.want {
 				t.Fatalf("depth=%d rate=%g: Retry-After = %d, want %d", c.depth, c.rate, got, c.want)
 			}
@@ -57,7 +57,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 // TestWriteIngestErrorRetryAfterHeader pins the full header path: overload
 // answers 429 with the derived hint, anything else answers 503 without one.
 func TestWriteIngestErrorRetryAfterHeader(t *testing.T) {
-	s := retryAfterServer(t, 2000, 1500, 1000)
+	s := retryAfterLane(t, 2000, 1500, 1000)
 	rec := httptest.NewRecorder()
 	s.writeIngestError(rec, ingest.ErrOverloaded)
 	if rec.Code != 429 {
@@ -81,7 +81,7 @@ func TestWriteIngestErrorRetryAfterHeader(t *testing.T) {
 // EWMA, later windows fold in at 0.2, and a zero-elapsed window is skipped
 // rather than dividing by zero.
 func TestObserveDrainEWMA(t *testing.T) {
-	s := &Server{lane: &lane{}}
+	s := &lane{}
 	s.lastDrainEnd = time.Now().Add(-100 * time.Millisecond)
 	s.observeDrain(100) // ~1000 ops/sec over ~100ms
 	first := math.Float64frombits(s.drainRate.Load())

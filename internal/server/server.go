@@ -10,31 +10,33 @@
 // engine on its own goroutine, fronted by a bounded ingest queue
 // (internal/ingest) for writes and an RCU-style snapshot (internal/snapshot)
 // for reads. Engines are never locked; each lane's goroutine owns its engine
-// exclusively, exactly the single-engine model every prior PR pinned — there
-// are just N of them now, draining in parallel.
+// exclusively, and the lanes drain in parallel.
 //
-// The Server is the routing gateway over the lanes:
+// The Server is a routing gateway over its lanes and has one shape at every
+// lane count; one lane whose cell is the whole tree is simply the smallest
+// instance of it:
 //
-//   - Jobs no wider than a cell are routed to one lane (deterministic hash
-//     by default, least-loaded with Config.Route "spread") and scheduled
-//     fully in parallel with every other lane's work.
-//   - Wider jobs take the cross-shard path (cross.go): a coordinator parks
-//     every lane in ascending index order, composes a whole-pod partition
-//     that the internal/partition legality conditions verify once, splits it
-//     per cell, and charges each engine its slice via StartPlaced.
+//   - The gateway gives every ID-less job its ID (Server.nextID, which also
+//     moves past every explicit ID it sees) and routes it by a deterministic
+//     hash of that ID to a lane whose cell is wide enough. Lanes schedule
+//     fully in parallel with each other.
+//   - Jobs wider than every cell take the cross-shard path (cross.go): a
+//     coordinator composes a partition across lanes that the
+//     internal/partition legality conditions verify once, splits it per
+//     cell, and charges each engine its slice via StartPlaced. No job is
+//     wider than the cell of a single lane, so a single lane has no
+//     coordinator.
 //   - Reads merge the per-lane snapshots (snapshot.Merge): internally
 //     consistent per shard, boundedly stale across shards, with a composite
-//     monotone sequence number.
-//   - Failure injection routes to the owning lane by pod; spine-switch
-//     failures (which span every cell) apply to all lanes in ascending
-//     order, reverting on partial failure.
+//     monotone sequence number. The merge of one view is that view.
+//   - Failure injection applies to the lanes the failure touches: the lane
+//     owning the pod, or every lane in ascending order for a spine switch
+//     (which spans every cell), reverting on partial failure.
 //
-// With Shards == 1 (the default) the Server embeds the one lane directly
-// and every path — ingest, publish cadence, admin closures, ID assignment —
-// is byte-identical to the pre-shard daemon; the shard-count differential
-// tests pin that.
+// The shard-count differential tests pin that the gateway over one lane
+// schedules exactly like the bare engine.
 //
-// Each lane drives time the same way the single engine did:
+// Each lane drives time in one of two ways:
 //
 //   - virtual clock (Config.VirtualClock): whenever nothing is queued, the
 //     lane steps its engine to the next event, fast-forwarding through
@@ -92,8 +94,8 @@ var ErrClosed = errors.New("server: closed")
 type Config struct {
 	// Alloc is the placement policy the engine schedules with; required.
 	// Build one with jigsaw.NewAllocator (cmd/jigsawd does). With Shards > 1
-	// it must be freshly constructed (nothing allocated): each lane beyond
-	// the first schedules with a Clone restricted to its cell.
+	// it must be freshly constructed (nothing allocated): every lane
+	// schedules with a copy restricted to its cell.
 	Alloc alloc.Allocator
 	// Scenario assigns isolated-execution speed-ups when ApplySpeedups is
 	// set; nil means scenario "None".
@@ -128,11 +130,8 @@ type Config struct {
 	// 0 means the default (256).
 	MaxBatch int
 	// Shards splits the fabric into this many per-cell engines (lanes).
-	// 0 or 1 means the classic single-engine daemon, bit-for-bit.
+	// 0 means 1: one lane whose cell is the whole tree.
 	Shards int
-	// Route picks the single-shard routing policy: "hash" (default;
-	// deterministic by job ID) or "spread" (least-loaded fitting lane).
-	Route string
 }
 
 const (
@@ -179,12 +178,20 @@ const ownerStripes = 16
 // the gateway ever routed. Entries are never removed, so the maps hold
 // neither pointers nor boxed values: the garbage collector does not scan
 // their storage however many jobs the daemon has seen.
+//
+// A nil *ownerMap is the map of a one-lane server: lane 0 owns every ID and
+// nothing is recorded (see New for the measurement).
 type ownerMap [ownerStripes]struct {
 	mu sync.Mutex
 	m  map[int64]int32
 }
 
+// load resolves the lane (or crossOwner) that owns id; GET and DELETE
+// /v1/jobs/{id} both route through it.
 func (o *ownerMap) load(id int64) (int, bool) {
+	if o == nil {
+		return 0, true
+	}
 	st := &o[uint64(id)%ownerStripes]
 	st.mu.Lock()
 	li, ok := st.m[id]
@@ -195,6 +202,9 @@ func (o *ownerMap) load(id int64) (int, bool) {
 // loadOrStore returns the recorded owner of id if there is one (loaded true),
 // and records li otherwise.
 func (o *ownerMap) loadOrStore(id int64, li int) (owner int, loaded bool) {
+	if o == nil {
+		return li, false
+	}
 	st := &o[uint64(id)%ownerStripes]
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -210,28 +220,25 @@ func (o *ownerMap) loadOrStore(id int64, li int) (owner int, loaded bool) {
 
 // Server is one daemon instance: one lane per shard, the routing gateway,
 // and the HTTP surface. Create with New, serve with Serve/ListenAndServe or
-// by mounting Handler, and stop with Close. The first lane is embedded so
-// single-lane deployments (and the pre-shard test suite) address its fields
-// directly.
+// by mounting Handler, and stop with Close.
 type Server struct {
 	cfg   Config
 	log   *slog.Logger
 	tree  *topology.FatTree
 	cells []shard.Cell
 	lanes []*lane
-	*lane // lanes[0]
 
 	// maxCell is the widest job a single lane can host; wider jobs go
 	// cross-shard.
 	maxCell int
-	// nextID assigns job IDs at the gateway when Shards > 1 (per-lane
-	// appliers would collide); with one lane the applier assigns, exactly
-	// as before.
+	// nextID is the last job ID the gateway assigned or saw (assignAndRoute).
+	// The lanes' appliers never assign: every job reaches them with an ID.
 	nextID atomic.Int64
-	// owner maps job ID -> owning lane index (or crossOwner). Only
-	// populated when Shards > 1.
-	owner ownerMap
-	// cross is the wide-job coordinator; nil when Shards == 1.
+	// owner maps job ID -> owning lane index (or crossOwner); nil with one
+	// lane.
+	owner *ownerMap
+	// cross is the wide-job coordinator; nil when no job can be wider than a
+	// cell.
 	cross *coordinator
 
 	httpStats *httpStats
@@ -261,13 +268,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
-	switch cfg.Route {
-	case "", "hash":
-		cfg.Route = "hash"
-	case "spread":
-	default:
-		return nil, fmt.Errorf("server: unknown route policy %q (want hash or spread)", cfg.Route)
-	}
 	if cfg.Alloc == nil {
 		return nil, fmt.Errorf("server: nil allocator")
 	}
@@ -275,9 +275,6 @@ func New(cfg Config) (*Server, error) {
 	cells, err := shard.Plan(tree, cfg.Shards)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Shards > 1 && cfg.Alloc.State().Version() != 0 {
-		return nil, fmt.Errorf("server: sharding requires a freshly-constructed allocator")
 	}
 
 	s := &Server{
@@ -289,19 +286,19 @@ func New(cfg Config) (*Server, error) {
 		httpStats: newHTTPStats(),
 	}
 	s.lanes = make([]*lane, len(cells))
-	// Clone every lane's allocator from the pristine seed before any lane
-	// restricts its copy (RestrictToPods requires a pristine state).
-	allocs := make([]alloc.Allocator, len(cells))
-	allocs[0] = cfg.Alloc
-	for i := 1; i < len(cells); i++ {
-		allocs[i] = cfg.Alloc.Clone()
-	}
-	for i, c := range cells {
-		a := allocs[i]
-		total := 0
-		if cfg.Shards > 1 {
+	// Lane 0 schedules with cfg.Alloc itself and is built last, so every
+	// other lane clones the seed before anything restricts it.
+	for i := len(cells) - 1; i >= 0; i-- {
+		a, c := cfg.Alloc, cells[i]
+		if i > 0 {
+			a = a.Clone()
+		}
+		if c.Pods() < tree.Pods {
+			// RestrictToPods requires a pristine state.
+			if a.State().Version() != 0 {
+				return nil, fmt.Errorf("server: sharding requires a freshly-constructed allocator")
+			}
 			a.State().RestrictToPods(c.PodLo, c.PodHi)
-			total = c.Nodes(tree)
 		}
 		eng, err := engine.New(engine.Config{
 			Alloc:            a,
@@ -312,15 +309,22 @@ func New(cfg Config) (*Server, error) {
 			OnFailure:        cfg.OnFailure,
 			Elastic:          cfg.Elastic,
 			MeasureAllocTime: true,
-			TotalNodes:       total,
+			TotalNodes:       c.Nodes(tree),
 		})
 		if err != nil {
 			return nil, err
 		}
 		s.lanes[i] = newLane(i, c, eng, cfg.VirtualClock, cfg.NowFunc, cfg.IngestQueue, cfg.MaxBatch)
 	}
-	s.lane = s.lanes[0]
-	if cfg.Shards > 1 {
+	if len(cells) > 1 {
+		// Only with more than one lane can a job live anywhere but lane 0 or
+		// be wider than a cell, so only then do the owner map and the
+		// coordinator exist. One lane keeping the map would pay, at the
+		// 640 000 IDs of one front-door repeat, 181 ns per insert and 18.9 MB
+		// live (25.5 MB of Sys) against ~0.72 us of daemon CPU per job and
+		// 70.6 MB peak RSS: +25% CPU and +27-36% RSS for a map whose every
+		// value is 0.
+		s.owner = new(ownerMap)
 		// The coordinator exists before any lane loop starts so every lane
 		// can publish pod summaries from its first real snapshot on and ring
 		// the coordinator whenever a publish shows freed capacity. Its run
@@ -350,22 +354,19 @@ func (s *Server) Close() {
 	}
 }
 
-// sharded reports whether the gateway routes across multiple lanes.
-func (s *Server) sharded() bool { return len(s.lanes) > 1 }
-
-// view returns the read-path snapshot: the lane's own View when single, the
-// merged per-lane Views plus cross-shard waiting jobs otherwise.
+// view returns the read-path snapshot: the merged per-lane Views plus the
+// coordinator's waiting jobs.
 func (s *Server) view() *snapshot.View {
-	if !s.sharded() {
-		return s.pub.Load()
-	}
 	views := make([]*snapshot.View, len(s.lanes))
 	for i, l := range s.lanes {
 		views[i] = l.pub.Load()
 	}
 	v := snapshot.Merge(views)
+	if s.cross == nil {
+		return v // the one lane's own published View: not ours to append to
+	}
 	if waiting := s.cross.waiting(); len(waiting) > 0 {
-		// Merge built a fresh View (len > 1), so appending is safe.
+		// Merge built a fresh View (more than one lane), so appending is safe.
 		v.Snap.Queue = append(v.Snap.Queue, waiting...)
 		sort.SliceStable(v.Snap.Queue, func(i, j int) bool {
 			a, b := v.Snap.Queue[i], v.Snap.Queue[j]
@@ -380,25 +381,6 @@ func (s *Server) view() *snapshot.View {
 		}
 	}
 	return v
-}
-
-// routeLane picks the lane for a single-shard job.
-func (s *Server) routeLane(id int64, size int) int {
-	if s.cfg.Route == "spread" {
-		best, bestLoad := -1, 0
-		for _, l := range s.lanes {
-			if size > l.cell.Nodes(s.tree) {
-				continue
-			}
-			v := l.pub.Load()
-			load := l.batcher.Len() + v.Snap.QueueDepth
-			if best < 0 || load < bestLoad {
-				best, bestLoad = l.idx, load
-			}
-		}
-		return best
-	}
-	return shard.RouteHash(s.tree, s.cells, id, size)
 }
 
 func isOverloaded(err error) bool { return errors.Is(err, ingest.ErrOverloaded) }
@@ -617,22 +599,33 @@ func (req *submitRequest) job() trace.Job {
 	}
 }
 
-// assignAndRoute gives a gateway job its ID and owning lane (Shards > 1
-// only). It returns the lane index or crossOwner, and false on a duplicate
-// ID that cannot be delegated to an engine's own duplicate check.
+// assignAndRoute gives a job its ID and its owner. An ID-less job draws the
+// next ID from nextID, and an explicit ID moves nextID past itself first, so
+// an assigned ID never collides with one a client chose, at any lane count.
+// It returns the owning lane's index or crossOwner; the error is a duplicate
+// of a cross-owned ID, which no engine's own duplicate check could report.
 func (s *Server) assignAndRoute(req *submitRequest) (int, error) {
 	if req.ID == 0 {
 		req.ID = s.nextID.Add(1)
+	} else {
+		for {
+			cur := s.nextID.Load()
+			if cur >= req.ID || s.nextID.CompareAndSwap(cur, req.ID) {
+				break
+			}
+		}
 	}
 	want := crossOwner
 	if req.Size <= s.maxCell {
-		want = s.routeLane(req.ID, req.Size)
+		// Deterministic by (ID, size), so replaying a trace routes every job
+		// identically.
+		want = shard.RouteHash(s.tree, s.cells, req.ID, req.Size)
 	}
 	li, loaded := s.owner.loadOrStore(req.ID, want)
 	if loaded && li == crossOwner {
 		// Existing ID: a lane-owned duplicate is submitted to its owning
-		// lane so the engine reports the duplicate exactly as a single
-		// engine would; a cross-owned duplicate is rejected here.
+		// lane so the engine reports the duplicate exactly as a bare engine
+		// would; a cross-owned duplicate is rejected here.
 		return 0, fmt.Errorf("engine: duplicate job id %d", req.ID)
 	}
 	return li, nil
@@ -648,21 +641,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.validateSubmit(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.sharded() {
-		op := &ingest.Op{Kind: ingest.Submit, Job: req.job(), EnqueuedAt: time.Now()}
-		batch, err := s.batcher.Enqueue(op)
-		if err != nil {
-			s.writeIngestError(w, err)
-			return
-		}
-		batch.Wait()
-		if op.Err != nil {
-			writeError(w, http.StatusConflict, "%v", op.Err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, toJobJSON(op.Status))
 		return
 	}
 	li, err := s.assignAndRoute(&req)
@@ -701,6 +679,18 @@ type batchItemResult struct {
 	Error string `json:"error,omitempty"`
 }
 
+// handleBatch validates a batch item by item (validation never involves an
+// engine) and fans the valid items out per lane. Each lane's sub-batch is
+// admitted all-or-nothing: an overloaded lane rejects its whole sub-batch
+// with per-item errors while the other lanes' sub-batches proceed. Cross-shard
+// items are enqueued with the coordinator one by one.
+//
+// The status follows one rule at every lane count: when nothing was admitted
+// and a lane shed its sub-batch, the whole request is shed (429, the largest
+// Retry-After among the lanes that refused — the signal clients back off
+// on); when nothing was admitted because the server is closing, 503;
+// otherwise 202 with per-item results, plus the Retry-After header if some
+// lane shed.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []submitRequest `json:"jobs"`
@@ -711,65 +701,30 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
 		return
 	}
-	if len(req.Jobs) == 0 {
+	jobs := req.Jobs
+	if len(jobs) == 0 {
 		writeError(w, http.StatusBadRequest, "jobs must be non-empty")
 		return
 	}
-	if max := s.batcher.Cap(); len(req.Jobs) > max {
+	if max := s.cfg.IngestQueue; len(jobs) > max {
 		writeError(w, http.StatusBadRequest,
-			"batch of %d jobs exceeds ingest queue capacity %d", len(req.Jobs), max)
-		return
-	}
-	if s.sharded() {
-		s.handleBatchSharded(w, req.Jobs)
+			"batch of %d jobs exceeds ingest queue capacity %d", len(jobs), max)
 		return
 	}
 
-	// Per-item validation never involves the engine; only valid items are
-	// enqueued, all-or-nothing, so overload rejects the whole request.
-	results := make([]batchItemResult, len(req.Jobs))
-	ops := make([]*ingest.Op, 0, len(req.Jobs))
-	idx := make([]int, 0, len(req.Jobs))
-	now := time.Now()
-	for i := range req.Jobs {
-		if err := s.validateSubmit(&req.Jobs[i]); err != nil {
-			results[i].Error = err.Error()
-			continue
-		}
-		ops = append(ops, &ingest.Op{Kind: ingest.Submit, Job: req.Jobs[i].job(), EnqueuedAt: now})
-		idx = append(idx, i)
-	}
-	if len(ops) > 0 {
-		batch, err := s.batcher.Enqueue(ops...)
-		if err != nil {
-			s.writeIngestError(w, err)
-			return
-		}
-		batch.Wait()
-		for k, op := range ops {
-			if op.Err != nil {
-				results[idx[k]].Error = op.Err.Error()
-				continue
-			}
-			jj := toJobJSON(op.Status)
-			results[idx[k]].jobJSON = &jj
-		}
-	}
-	writeBatchResults(w, results)
-}
-
-// handleBatchSharded fans a validated batch out per lane. Each lane's
-// sub-batch keeps the all-or-nothing admission contract (an overloaded lane
-// rejects its whole sub-batch with per-item errors and a Retry-After header
-// derived from that lane's drain rate); other lanes' sub-batches proceed
-// independently. Cross-shard items are enqueued with the coordinator one by
-// one.
-func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest) {
 	results := make([]batchItemResult, len(jobs))
-	perLane := make([][]*ingest.Op, len(s.lanes))
-	perLaneIdx := make([][]int, len(s.lanes))
+	// subs[li] is lane li's sub-batch: its ops, the request index of each,
+	// and its admission. Hash routing spreads sequential IDs evenly, so an
+	// even share is the right first capacity (and exact with one lane).
+	subs := make([]struct {
+		ops   []*ingest.Op
+		idx   []int
+		batch *ingest.Batch
+	}, len(s.lanes))
+	share := (len(jobs) + len(s.lanes) - 1) / len(s.lanes)
 	now := time.Now()
-	retryAfter := -1
+	admitted, retryAfter := 0, -1
+	var closedErr error
 	for i := range jobs {
 		if err := s.validateSubmit(&jobs[i]); err != nil {
 			results[i].Error = err.Error()
@@ -783,55 +738,69 @@ func (s *Server) handleBatchSharded(w http.ResponseWriter, jobs []submitRequest)
 		if li == crossOwner {
 			st, err := s.cross.submit(jobs[i].job())
 			if err != nil {
-				results[i].Error = err.Error()
+				results[i].Error, closedErr = err.Error(), err
 				continue
 			}
 			jj := toJobJSON(st)
 			results[i].jobJSON = &jj
+			admitted++
 			continue
 		}
-		perLane[li] = append(perLane[li], &ingest.Op{Kind: ingest.Submit, Job: jobs[i].job(), EnqueuedAt: now})
-		perLaneIdx[li] = append(perLaneIdx[li], i)
+		sub := &subs[li]
+		if sub.ops == nil {
+			sub.ops, sub.idx = make([]*ingest.Op, 0, share), make([]int, 0, share)
+		}
+		sub.ops = append(sub.ops, &ingest.Op{Kind: ingest.Submit, Job: jobs[i].job(), EnqueuedAt: now})
+		sub.idx = append(sub.idx, i)
 	}
 	// Enqueue every lane's sub-batch before waiting on any, so lanes apply
 	// in parallel.
-	batches := make([]*ingest.Batch, len(s.lanes))
-	for li, ops := range perLane {
-		if len(ops) == 0 {
+	for li := range subs {
+		sub := &subs[li]
+		if len(sub.ops) == 0 {
 			continue
 		}
-		batch, err := s.lanes[li].batcher.Enqueue(ops...)
+		batch, err := s.lanes[li].batcher.Enqueue(sub.ops...)
 		if err != nil {
-			for _, i := range perLaneIdx[li] {
+			for _, i := range sub.idx {
 				results[i].Error = err.Error()
 			}
-			if isOverloaded(err) {
-				if ra := s.lanes[li].retryAfterSeconds(); ra > retryAfter {
-					retryAfter = ra
-				}
+			if !isOverloaded(err) {
+				closedErr = err
+			} else if ra := s.lanes[li].retryAfterSeconds(); ra > retryAfter {
+				retryAfter = ra
 			}
 			continue
 		}
-		batches[li] = batch
+		sub.batch = batch
+		admitted += len(sub.ops)
 	}
-	for li, batch := range batches {
-		if batch == nil {
+	for _, sub := range subs {
+		if sub.batch == nil {
 			continue
 		}
-		batch.Wait()
-		for k, op := range perLane[li] {
+		sub.batch.Wait()
+		for k, op := range sub.ops {
+			res := &results[sub.idx[k]]
 			if op.Err != nil {
-				results[perLaneIdx[li][k]].Error = op.Err.Error()
+				res.Error = op.Err.Error()
 				continue
 			}
 			jj := toJobJSON(op.Status)
-			results[perLaneIdx[li][k]].jobJSON = &jj
+			res.jobJSON = &jj
 		}
 	}
 	if retryAfter >= 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
-	writeBatchResults(w, results)
+	switch {
+	case admitted == 0 && retryAfter >= 0:
+		writeError(w, http.StatusTooManyRequests, "%v", ingest.ErrOverloaded)
+	case admitted == 0 && closedErr != nil:
+		writeError(w, http.StatusServiceUnavailable, "%v", closedErr)
+	default:
+		writeBatchResults(w, results)
+	}
 }
 
 // batchResponse is the /v1/jobs:batch response body. Fields are declared in
@@ -867,24 +836,21 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
-	l := s.lane
-	if s.sharded() {
-		li, ok := s.owner.load(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %d", id)
-			return
-		}
-		if li == crossOwner {
-			st, err := s.cross.status(id)
-			if err != nil {
-				writeError(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, toJobJSON(st))
-			return
-		}
-		l = s.lanes[li]
+	li, ok := s.owner.load(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %d", id)
+		return
 	}
+	if li == crossOwner {
+		st, err := s.cross.status(id)
+		if err != nil {
+			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, toJobJSON(st))
+		return
+	}
+	l := s.lanes[li]
 	// Active jobs are indexed in the published snapshot; terminal and
 	// unknown IDs fall back to a point lookup on the engine goroutine.
 	if st, ok := l.pub.Load().Jobs[id]; ok {
@@ -892,7 +858,6 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var st engine.JobStatus
-	var ok bool
 	if err := l.do(func(e *engine.Engine) { st, ok = e.Status(id) }); err != nil {
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 		return
@@ -910,19 +875,16 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid job id")
 		return
 	}
-	l := s.lane
-	if s.sharded() {
-		li, ok := s.owner.load(id)
-		if !ok {
-			writeError(w, http.StatusNotFound, "unknown job %d", id)
-			return
-		}
-		if li == crossOwner {
-			s.cross.cancel(w, id)
-			return
-		}
-		l = s.lanes[li]
+	li, ok := s.owner.load(id)
+	if !ok {
+		writeError(w, http.StatusNotFound, "unknown job %d", id)
+		return
 	}
+	if li == crossOwner {
+		s.cross.cancel(w, id)
+		return
+	}
+	l := s.lanes[li]
 	op := &ingest.Op{Kind: ingest.Cancel, ID: id, EnqueuedAt: time.Now()}
 	batch, enqErr := l.batcher.Enqueue(op)
 	if enqErr != nil {
@@ -965,6 +927,22 @@ func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// countsJSON is the wire form of the engine's job counters.
+func countsJSON(c engine.Counts) map[string]int64 {
+	return map[string]int64{
+		"submitted": c.Submitted,
+		"started":   c.Started,
+		"completed": c.Completed,
+		"rejected":  c.Rejected,
+		"cancelled": c.Cancelled,
+		"requeued":  c.Requeued,
+		"killed":    c.Killed,
+		"shrunk":    c.Shrunk,
+		"grown":     c.Grown,
+		"preempted": c.Preempted,
+	}
+}
+
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	v := s.view()
 	tree := s.cfg.Alloc.Tree()
@@ -980,19 +958,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"queue_depth":  v.Snap.QueueDepth,
 		"running_jobs": v.Snap.RunningJobs,
 		"now":          v.Snap.Now,
-		"counts": map[string]int64{
-			"submitted": v.Snap.Counts.Submitted,
-			"started":   v.Snap.Counts.Started,
-			"completed": v.Snap.Counts.Completed,
-			"rejected":  v.Snap.Counts.Rejected,
-			"cancelled": v.Snap.Counts.Cancelled,
-			"requeued":  v.Snap.Counts.Requeued,
-			"killed":    v.Snap.Counts.Killed,
-			"shrunk":    v.Snap.Counts.Shrunk,
-			"grown":     v.Snap.Counts.Grown,
-			"preempted": v.Snap.Counts.Preempted,
-		},
-		"degraded": v.Snap.FailedNodes+v.Snap.FailedLinks+v.Snap.FailedSwitches > 0,
+		"counts":       countsJSON(v.Snap.Counts),
+		"degraded":     failedResources(v) > 0,
 		"failed": map[string]int{
 			"nodes":    v.Snap.FailedNodes,
 			"links":    v.Snap.FailedLinks,

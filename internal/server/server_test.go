@@ -142,12 +142,12 @@ func TestPartitionIsolationVisibleOverHTTP(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	_, hs := newTestServer(t, Config{VirtualClock: true})
 	for body, want := range map[string]int{
-		`{"size":0,"runtime":10}`:     http.StatusBadRequest,
-		`{"size":4,"runtime":0}`:      http.StatusBadRequest,
-		`{"size":4,"runtime":-5}`:     http.StatusBadRequest,
-		`{"size":17,"runtime":10}`:    http.StatusBadRequest, // larger than the 16-node tree
-		`{"size":4,"runtime":10,"x"`:  http.StatusBadRequest, // truncated JSON
-		`{"size":4,"bogus":1}`:        http.StatusBadRequest, // unknown field
+		`{"size":0,"runtime":10}`:         http.StatusBadRequest,
+		`{"size":4,"runtime":0}`:          http.StatusBadRequest,
+		`{"size":4,"runtime":-5}`:         http.StatusBadRequest,
+		`{"size":17,"runtime":10}`:        http.StatusBadRequest, // larger than the 16-node tree
+		`{"size":4,"runtime":10,"x"`:      http.StatusBadRequest, // truncated JSON
+		`{"size":4,"bogus":1}`:            http.StatusBadRequest, // unknown field
 		`{"id":-3,"size":4,"runtime":10}`: http.StatusBadRequest,
 	} {
 		resp, _ := postJob(t, hs.URL, body)
@@ -356,7 +356,7 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("serve did not return after cancel")
 	}
 	// The engine goroutine is stopped: direct requests fail with ErrClosed.
-	if err := s.do(func(e *engine.Engine) {}); err != ErrClosed {
+	if err := s.lanes[0].do(func(e *engine.Engine) {}); err != ErrClosed {
 		t.Fatalf("post-close do = %v, want ErrClosed", err)
 	}
 	// Close is idempotent.

@@ -317,8 +317,8 @@ func replayHTTP(t *testing.T, base string, jobs []trace.Job) (clusterJSON, map[i
 
 // TestShardsOneBitForBitSixPolicies replays one trace per policy through the
 // Shards=1 gateway and through a bare engine, and requires identical counts,
-// schedules, and steady-state utilization: the sharded refactor must not
-// perturb the single-engine daemon at all.
+// schedules, and steady-state utilization: the gateway over one lane must
+// schedule exactly like the engine it wraps.
 func TestShardsOneBitForBitSixPolicies(t *testing.T) {
 	schemes := append(append([]string{}, experiments.Schemes...), "Jigsaw+S")
 	tree := topology.MustNew(8)

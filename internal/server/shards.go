@@ -1,9 +1,9 @@
 package server
 
-// The /v1/shards endpoint and the sharded metrics exposition. With one lane
-// the metrics output is byte-identical to the pre-shard daemon: the merged
-// view IS the lane's view, the summed ingest counters ARE the lane's, and
-// the per-shard labeled series are omitted.
+// The /v1/shards endpoint and the metrics exposition: cluster-wide figures
+// from the merged view and the summed per-lane ingest counters, then, when
+// there is a coordinator (more than one lane), the per-shard labeled series
+// and the coordinator's counters.
 
 import (
 	"fmt"
@@ -30,25 +30,14 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			"now":           v.Snap.Now,
 			"snapshot_seq":  v.Seq,
 			"state_version": v.StateVersion,
-			"degraded":      v.Snap.FailedNodes+v.Snap.FailedLinks+v.Snap.FailedSwitches > 0,
-			"counts": map[string]int64{
-				"submitted": v.Snap.Counts.Submitted,
-				"started":   v.Snap.Counts.Started,
-				"completed": v.Snap.Counts.Completed,
-				"rejected":  v.Snap.Counts.Rejected,
-				"cancelled": v.Snap.Counts.Cancelled,
-				"requeued":  v.Snap.Counts.Requeued,
-				"killed":    v.Snap.Counts.Killed,
-				"shrunk":    v.Snap.Counts.Shrunk,
-				"grown":     v.Snap.Counts.Grown,
-				"preempted": v.Snap.Counts.Preempted,
-			},
+			"degraded":      failedResources(v) > 0,
+			"counts":        countsJSON(v.Snap.Counts),
 		}
 	}
 	resp := map[string]any{
 		"shards": shards,
 		"count":  len(s.lanes),
-		"route":  s.cfg.Route,
+		"route":  "hash", // the one routing policy (shard.RouteHash)
 		// max_single_shard_size: jobs wider than this take the cross-shard
 		// whole-pod path.
 		"max_single_shard_size": s.maxCell,
@@ -70,12 +59,8 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 }
 
 // mergeHists folds per-lane histograms into one for the cluster-wide
-// exposition. With one lane it returns the lane's histogram itself (no
-// copy, no lock churn on the hot single-shard path).
+// exposition.
 func mergeHists(hs []*latencyHist) *latencyHist {
-	if len(hs) == 1 {
-		return hs[0]
-	}
 	m := newLatencyHist()
 	for _, h := range hs {
 		h.mu.Lock()
@@ -144,15 +129,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mergeHists(qw).write(mw, "jigsawd_request_queue_wait_seconds",
 		"Time a scheduling request waits in the ingest queue before the engine goroutine starts executing it.")
 	s.httpStats.write(mw, "jigsawd_http_requests_total")
-	if s.sharded() {
+	if s.cross != nil {
 		s.writeShardMetrics(mw, laneViews)
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, mw.String())
 }
 
-// writeShardMetrics emits the per-shard labeled series (Shards > 1 only, so
-// the single-engine exposition stays byte-identical).
+// writeShardMetrics emits the per-shard labeled series and the coordinator's
+// counters. One lane has no coordinator and its series would repeat the
+// cluster-wide ones above, so handleMetrics skips them.
 func (s *Server) writeShardMetrics(mw *metricsWriter, views []*snapshot.View) {
 	series := func(name, help string, f func(i int, v *snapshot.View) string) {
 		mw.header(name, "gauge", help)
@@ -172,17 +158,15 @@ func (s *Server) writeShardMetrics(mw *metricsWriter, views []*snapshot.View) {
 		func(i int, v *snapshot.View) string { return itoa(s.lanes[i].batcher.Len()) })
 	series("jigsawd_shard_snapshot_publishes_total", "Snapshot publications by the shard.",
 		func(i int, v *snapshot.View) string { return itoa(int(views[i].Seq)) })
-	if s.cross != nil {
-		cs := s.cross.stats()
-		mw.gaugeInt("jigsawd_cross_shard_waiting", "Cross-shard jobs waiting for capacity.", cs.Waiting)
-		mw.counter("jigsawd_cross_shard_placed_total", "Cross-shard placements since start.", cs.Placed)
-		mw.counter("jigsawd_cross_shard_subpod_placed_total", "Cross-shard placements that used partially-free pods or sub-pod tree shapes.", cs.SubpodPlaced)
-		mw.counter("jigsawd_cross_shard_shrunk_placed_total", "Cross-shard malleable jobs placed below their requested size.", cs.ShrunkPlaced)
-		mw.counter("jigsawd_cross_shard_attempts_total", "Snapshot-guided cross-shard composition attempts.", cs.Attempts)
-		mw.counter("jigsawd_cross_shard_infeasible_total", "Attempts that found no legal shape (and parked no lane).", cs.Infeasible)
-		mw.counter("jigsawd_cross_shard_conflicts_total", "Optimistic-validation retries after losing a race to shard-local traffic.", cs.Conflicts)
-		mw.counter("jigsawd_cross_shard_parks_total", "Lane parks performed by the coordinator, summed over lanes.", s.laneParks())
-	}
+	cs := s.cross.stats()
+	mw.gaugeInt("jigsawd_cross_shard_waiting", "Cross-shard jobs waiting for capacity.", cs.Waiting)
+	mw.counter("jigsawd_cross_shard_placed_total", "Cross-shard placements since start.", cs.Placed)
+	mw.counter("jigsawd_cross_shard_subpod_placed_total", "Cross-shard placements that used partially-free pods or sub-pod tree shapes.", cs.SubpodPlaced)
+	mw.counter("jigsawd_cross_shard_shrunk_placed_total", "Cross-shard malleable jobs placed below their requested size.", cs.ShrunkPlaced)
+	mw.counter("jigsawd_cross_shard_attempts_total", "Snapshot-guided cross-shard composition attempts.", cs.Attempts)
+	mw.counter("jigsawd_cross_shard_infeasible_total", "Attempts that found no legal shape (and parked no lane).", cs.Infeasible)
+	mw.counter("jigsawd_cross_shard_conflicts_total", "Optimistic-validation retries after losing a race to shard-local traffic.", cs.Conflicts)
+	mw.counter("jigsawd_cross_shard_parks_total", "Lane parks performed by the coordinator, summed over lanes.", s.laneParks())
 }
 
 // laneParks sums the coordinator's park() calls across lanes.

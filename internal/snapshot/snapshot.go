@@ -48,8 +48,8 @@ type View struct {
 	// Pods holds the per-pod free-capacity summaries (cell-range pods only)
 	// the cross-shard coordinator's candidate search reads, exact as of
 	// StateVersion. Nil unless the publisher opted in with
-	// CapturePodSummaries — sharded lanes do, the single-engine daemon
-	// doesn't pay for what it can't use.
+	// CapturePodSummaries — the lanes of a server with a coordinator do, a
+	// one-lane server doesn't pay for what it can't use.
 	Pods []topology.PodSummary
 
 	// UtilNow is the average utilization from first arrival to Snap.Now;
