@@ -14,7 +14,10 @@
 // by benchmark name with the -N CPU suffix stripped, and emits, per
 // benchmark, the median ns/op and — when -benchmem was set — the median
 // B/op and allocs/op. Non-benchmark lines are ignored, so raw `go test`
-// output pipes straight in.
+// output pipes straight in. The document opens with a "_meta" object — Go
+// version, GOMAXPROCS, CPU count, GOOS/GOARCH of the host the pipe ran on —
+// because numbers recorded under different _meta are not comparable; the gate
+// skips it when it reads a baseline.
 //
 // The gate compares ns/op within -tolerance and, for benchmarks whose
 // baseline records 0 allocs/op, allocs/op with zero tolerance — a zero-alloc
@@ -34,6 +37,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,26 +136,45 @@ func parse(r io.Reader) (map[string]result, []string, error) {
 	return out, order, nil
 }
 
-// render emits the results document in first-seen order.
+// metaKey is the one key of a results document that is not a benchmark.
+const metaKey = "_meta"
+
+// meta says where the numbers were measured.
+type meta struct {
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+}
+
+// render emits the results document: _meta, then the benchmarks in
+// first-seen order.
 func render(out map[string]result, order []string) string {
 	var buf strings.Builder
-	buf.WriteString("{\n")
-	n := 0
+	mb, _ := json.Marshal(meta{runtime.Version(), runtime.GOMAXPROCS(0), runtime.NumCPU(), runtime.GOOS, runtime.GOARCH})
+	fmt.Fprintf(&buf, "{\n  %q: %s", metaKey, mb)
 	for _, name := range order {
 		r, ok := out[name]
 		if !ok {
 			continue
 		}
-		if n > 0 {
-			buf.WriteString(",\n")
-		}
-		n++
 		kb, _ := json.Marshal(name)
 		vb, _ := json.Marshal(r)
-		fmt.Fprintf(&buf, "  %s: %s", kb, vb)
+		fmt.Fprintf(&buf, ",\n  %s: %s", kb, vb)
 	}
 	buf.WriteString("\n}\n")
 	return buf.String()
+}
+
+// readBaseline parses a results document recorded earlier, without its _meta.
+func readBaseline(raw []byte) (map[string]result, error) {
+	var base map[string]result
+	if err := json.Unmarshal(raw, &base); err != nil {
+		return nil, err
+	}
+	delete(base, metaKey)
+	return base, nil
 }
 
 // regression is one gate verdict line.
@@ -233,8 +256,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	var base map[string]result
-	if err := json.Unmarshal(raw, &base); err != nil {
+	base, err := readBaseline(raw)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: parse %s: %v\n", *baseline, err)
 		os.Exit(1)
 	}

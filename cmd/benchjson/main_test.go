@@ -127,3 +127,28 @@ func TestRenderRoundTrips(t *testing.T) {
 		t.Fatalf("render content:\n%s", doc)
 	}
 }
+
+// TestBaselineSkipsMeta: a document benchjson wrote is a baseline benchjson
+// reads, and its _meta object is not mistaken for a benchmark.
+func TestBaselineSkipsMeta(t *testing.T) {
+	out, order, err := parse(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := render(out, order)
+	if !strings.HasPrefix(doc, "{\n  \"_meta\": {\"go\":\"go") {
+		t.Fatalf("document does not open with _meta:\n%s", doc)
+	}
+	base, err := readBaseline([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := base[metaKey]; ok || len(base) != 2 {
+		t.Fatalf("baseline = %+v, want the two benchmarks and no _meta", base)
+	}
+	for _, r := range compare(out, base, 0) {
+		if r.Breached || r.Current == 0 {
+			t.Fatalf("a run gated against itself: %+v", r)
+		}
+	}
+}

@@ -1,14 +1,15 @@
 package engine_test
 
-// Differential pinning for the snapshot-free what-if path: every policy is
-// driven through an identical randomized submit/cancel/step history twice —
-// once on the real allocator (conservative/FIFO reservations run on the
-// live state under an undo journal) and once on a wrapper that hides the
-// transaction methods (every what-if replays on a deep clone) — and every
-// observable output must match bit-for-bit: schedules, utilization series,
-// rejection sets, and counts. The EASY variant uses the cached-clone
-// displacement path in both engines, so it pins that the mechanism dispatch
-// and the cancellation-epoch reservation cache change no schedule.
+// Differential pinning for the two what-if mechanisms (Engine.whatIf): every
+// policy is driven through an identical randomized submit/cancel/step history
+// twice — once on the real allocator (conservative/FIFO reservations replay
+// on the live state under an undo journal, with the feasibility cache) and
+// once on a wrapper that hides the transaction methods and the cache (every
+// what-if replays on a deep clone) — and every observable output must match
+// bit-for-bit: schedules, utilization series, rejection sets, and counts.
+// The EASY variant replays onto its cached clone in both engines, so it pins
+// that the cancellation-epoch reservation cache and the feasibility cache
+// change no schedule.
 
 import (
 	"math/rand"
@@ -27,9 +28,10 @@ import (
 	"repro/internal/trace"
 )
 
-// cloneOnly hides the TxnAllocator extension, forcing the engine onto its
-// Clone-based what-if fallback. Embedding the interface (not the concrete
-// type) is what drops the Begin/Rollback/Commit methods.
+// cloneOnly shows the engine a bare alloc.Allocator, so whatIf hands out
+// clones. Embedding the interface (not the concrete type) is what drops the
+// Begin/Rollback/Commit methods — and with them every other optional
+// extension (feasibility cache, partition finder).
 type cloneOnly struct{ alloc.Allocator }
 
 func (c cloneOnly) Clone() alloc.Allocator { return cloneOnly{c.Allocator.Clone()} }

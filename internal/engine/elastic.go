@@ -18,7 +18,6 @@ package engine
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -37,7 +36,8 @@ const (
 	VerdictAccepted
 	// VerdictAtRisk: the job was admitted, but the estimate has it
 	// completing after its deadline (the estimate ignores queued jobs, so
-	// the true risk is at least this high).
+	// the true risk is at least this high) — or has no start time at all
+	// until an active failure is recovered.
 	VerdictAtRisk
 	// VerdictRejected: the job can provably never meet its deadline
 	// (arrival + runtime already exceeds it) or never fits the machine at
@@ -66,50 +66,6 @@ func (v Verdict) String() string {
 type shrinkCand struct {
 	it     *jobItem
 	remain float64
-}
-
-// allocateSized is allocate for an explicit size (elastic moves place a job
-// at sizes other than Job.Size). It accounts AllocCalls and consults the
-// negative-feasibility cache exactly like allocate, and adds the elastic
-// legality guard: when the allocator exposes its partition search
-// (alloc.PartitionFinder), the partition a same-state Allocate would charge
-// is found first and independently re-verified with partition.Verify; a
-// found-but-illegal partition (a search bug) is refused rather than charged,
-// without poisoning the feasibility cache.
-func (e *Engine) allocateSized(it *jobItem, size int) (*topology.Placement, bool) {
-	e.acc.AllocCalls++
-	if e.feasInfeasible(size, it.j.ID) {
-		e.acc.FeasCacheHits++
-		return nil, false
-	}
-	var t0 time.Time
-	if e.cfg.MeasureAllocTime {
-		t0 = time.Now()
-	}
-	id := topology.JobID(it.j.ID)
-	var pl *topology.Placement
-	ok, verifyReject := true, false
-	if e.elasticPF != nil {
-		p, found := e.elasticPF.FindJobPartition(id, size)
-		if !found {
-			ok = false
-		} else if err := p.Verify(e.cfg.Alloc.Tree()); err != nil {
-			ok, verifyReject = false, true
-		}
-	}
-	if ok {
-		pl, ok = e.cfg.Alloc.Allocate(id, size)
-	}
-	if e.cfg.MeasureAllocTime {
-		e.acc.AllocSeconds += time.Since(t0).Seconds()
-	}
-	if e.feasClass != nil {
-		e.acc.FeasCacheMisses++
-		if !ok && !verifyReject {
-			e.feasRecordFailure(size, it.j.ID)
-		}
-	}
-	return pl, ok
 }
 
 // commitResize installs a running job's replacement placement at newSize with
@@ -143,7 +99,7 @@ func (e *Engine) shrinkOne(it *jobItem, remain, now float64) bool {
 		hi = free // cheap necessary bound, like the reservation's
 	}
 	for s := hi; s >= it.j.MinSize(); s-- {
-		pl, ok := e.allocateSized(it, s)
+		pl, ok := e.place(it, s, true)
 		if !ok {
 			continue
 		}
@@ -179,57 +135,36 @@ func (e *Engine) growPass(now float64) {
 }
 
 // tryGrow attempts to expand one running job. The old placement must be
-// released before searching (its nodes may seed the larger partition), so
-// the attempt runs inside an undo transaction when the allocator supports
-// one, and otherwise restores the old placement with Mirror on failure.
+// released before searching (its nodes may seed the larger partition); when
+// no larger size places, Mirror charges it back — the released resources are
+// still free — and nothing observable has changed.
 func (e *Engine) tryGrow(rj *runningJob, now float64) bool {
 	it := rj.it
 	cur := it.j.Size
-	hi := it.j.MaxSize()
-	if m := cur + e.cfg.Alloc.FreeNodes(); m < hi {
-		hi = m
-	}
+	hi := min(it.j.MaxSize(), cur+e.cfg.Alloc.FreeNodes())
 	if hi <= cur {
 		return false
 	}
 	remain := rj.end - now
-	commit := func(pl *topology.Placement, s int) {
-		e.detachRunning(rj)
-		e.commitResize(it, pl, s, remain*float64(cur)/float64(s), now)
-		e.counts.Grown++
-	}
-	if e.txnAlloc != nil {
-		a := e.txnAlloc
-		a.Begin()
-		a.Release(rj.pl)
-		for s := hi; s > cur; s-- {
-			pl, ok := e.allocateSized(it, s)
-			if !ok {
-				continue
-			}
-			a.Commit()
-			commit(pl, s)
-			return true
-		}
-		a.Rollback()
-		return false
-	}
 	e.cfg.Alloc.Release(rj.pl)
 	for s := hi; s > cur; s-- {
-		pl, ok := e.allocateSized(it, s)
+		pl, ok := e.place(it, s, true)
 		if !ok {
 			continue
 		}
-		commit(pl, s)
+		e.detachRunning(rj)
+		e.commitResize(it, pl, s, remain*float64(cur)/float64(s), now)
+		e.counts.Grown++
 		return true
 	}
-	e.cfg.Alloc.Mirror(rj.pl) // restore: the released resources are still free
+	e.cfg.Alloc.Mirror(rj.pl)
 	return false
 }
 
-// detachRunning tombstones a running job's current incarnation (its pending
-// completion event is skipped when popped) without releasing its placement —
-// the caller has already released or committed over it.
+// detachRunning takes a running job's current incarnation off the books —
+// out of the running set and the used-node count, its pending completion
+// event tombstoned — without releasing its placement: the caller has already
+// released or committed over it.
 func (e *Engine) detachRunning(rj *runningJob) {
 	delete(e.running, rj)
 	e.used -= rj.it.j.Size
@@ -254,7 +189,8 @@ func (e *Engine) urgent(head *jobItem, now float64) bool {
 // the head is retried after each, so only the minimal prefix is displaced.
 // On success the displaced victims requeue with their remaining runtime
 // (checkpointed) and the head's charged placement is returned; on failure
-// every release is undone and nothing observable changes.
+// the victims' placements are charged back with Mirror, newest release
+// first, and nothing observable changes.
 func (e *Engine) tryPreempt(head *jobItem, now float64) (*topology.Placement, bool) {
 	if !e.urgent(head, now) {
 		return nil, false
@@ -278,34 +214,15 @@ func (e *Engine) tryPreempt(head *jobItem, now float64) (*topology.Placement, bo
 		}
 		return a.ID < b.ID
 	})
-	if e.txnAlloc != nil {
-		a := e.txnAlloc
-		a.Begin()
-		for i, v := range victims {
-			a.Release(v.pl)
-			if e.cfg.Alloc.FreeNodes() < head.j.Size {
-				continue
-			}
-			pl, ok := e.allocateSized(head, head.j.Size)
-			if !ok {
-				continue
-			}
-			a.Commit()
+	for i, v := range victims {
+		e.cfg.Alloc.Release(v.pl)
+		if e.cfg.Alloc.FreeNodes() < head.j.Size {
+			continue
+		}
+		if pl, ok := e.place(head, head.j.Size, true); ok {
 			e.finishPreempt(victims[:i+1], now)
 			return pl, true
 		}
-		a.Rollback()
-		return nil, false
-	}
-	for i, v := range victims {
-		e.cfg.Alloc.Release(v.pl)
-		if e.cfg.Alloc.FreeNodes() >= head.j.Size {
-			if pl, ok := e.allocateSized(head, head.j.Size); ok {
-				e.finishPreempt(victims[:i+1], now)
-				return pl, true
-			}
-		}
-		continue
 	}
 	for i := len(victims) - 1; i >= 0; i-- {
 		e.cfg.Alloc.Mirror(victims[i].pl)
@@ -321,9 +238,7 @@ func (e *Engine) finishPreempt(released []*runningJob, now float64) {
 		it := rj.it
 		it.eff = rj.end - now
 		e.detachRunning(rj)
-		it.state = StateQueued
-		it.start, it.end = 0, 0
-		e.queue = append(e.queue, it)
+		e.requeue(it)
 		e.counts.Preempted++
 	}
 	e.pushUtil(now)
@@ -333,9 +248,9 @@ func (e *Engine) finishPreempt(released []*runningJob, now float64) {
 
 // admit computes the submit-time deadline verdict for a job that declared
 // one. VerdictRejected is definitive (deadline arithmetic, or the job never
-// fits a drained machine); Accepted vs AtRisk is advisory — the earliest-
-// start estimate replays only the running set, EASY-style, and ignores the
-// queue, so it is a lower bound on the true start time.
+// fits a drained, healthy machine); Accepted vs AtRisk is advisory — the
+// earliest-start estimate replays only the running set, EASY-style, and
+// ignores the queue, so it is a lower bound on the true start time.
 func (e *Engine) admit(it *jobItem) {
 	j := it.j
 	if j.Arrival+it.eff > j.Deadline+timeEps {
@@ -344,7 +259,14 @@ func (e *Engine) admit(it *jobItem) {
 	}
 	est, fits := e.earliestStart(it)
 	if !fits {
+		// Even a drained machine does not hold the job. On a healthy fabric
+		// that is "never"; on a degraded one recovery may restore the
+		// capacity, so the job is queued and held like its rigid twin
+		// (scheduleQueue) instead of being refused.
 		it.verdict = VerdictRejected
+		if len(e.failed) > 0 {
+			it.verdict = VerdictAtRisk
+		}
 		return
 	}
 	if est < j.Arrival {
@@ -359,64 +281,18 @@ func (e *Engine) admit(it *jobItem) {
 
 // earliestStart estimates the earliest time the job could start given the
 // predicted completions of the running set: a fits-now probe, then the
-// reservation replay (release completions in end-time order, retry after
-// each batch). Probes are advisory — they do not count as AllocCalls and do
-// not consult or feed the feasibility cache — and run transactionally on the
-// live state when possible, on a clone otherwise.
+// completion replay. Probes are advisory — they do not count as AllocCalls
+// and do not consult or feed the feasibility cache.
 func (e *Engine) earliestStart(it *jobItem) (float64, bool) {
-	size := it.j.Size
-	id := topology.JobID(it.j.ID)
-	if e.txnAlloc != nil {
-		a := e.txnAlloc
-		byEnd := e.sortedByEnd()
-		a.Begin()
-		est, ok := 0.0, false
-		if a.FreeNodes() >= size {
-			if pl, fits := a.Allocate(id, size); fits {
-				a.Release(pl)
-				est, ok = e.now, true
-			}
-		}
-		for i := 0; !ok && i < len(byEnd); {
-			t := byEnd[i].end
-			for i < len(byEnd) && byEnd[i].end == t {
-				a.Release(byEnd[i].pl)
-				i++
-			}
-			if a.FreeNodes() < size {
-				continue
-			}
-			if pl, fits := a.Allocate(id, size); fits {
-				a.Release(pl)
-				est, ok = t, true
-			}
-		}
-		a.Rollback()
-		e.dropScratch(byEnd)
-		return est, ok
-	}
-	snap := e.cfg.Alloc.Clone()
-	byEnd := e.sortedByEnd()
-	defer e.dropScratch(byEnd)
-	if snap.FreeNodes() >= size {
-		if _, fits := snap.Allocate(id, size); fits {
+	a, _, discard := e.whatIf()
+	defer discard()
+	if a.FreeNodes() >= it.j.Size {
+		if pl, fits := a.Allocate(topology.JobID(it.j.ID), it.j.Size); fits {
+			a.Release(pl)
 			return e.now, true
 		}
 	}
-	for i := 0; i < len(byEnd); {
-		t := byEnd[i].end
-		for i < len(byEnd) && byEnd[i].end == t {
-			snap.Release(byEnd[i].pl)
-			i++
-		}
-		if snap.FreeNodes() < size {
-			continue
-		}
-		if _, fits := snap.Allocate(id, size); fits {
-			return t, true
-		}
-	}
-	return 0, false
+	return e.replay(a, it, false)
 }
 
 // VisitPlacements calls fn for every running job in ascending job-ID order

@@ -21,17 +21,14 @@
 // reservation. Predicted runtimes equal actual runtimes, the same
 // information the paper's simulator used.
 //
-// What-if passes pick the cheaper of two mechanisms per scheduling mode.
-// Reservations whose result is consumed once — conservative backfill and
-// pure FIFO, where only the shadow time and the fits-at-all verdict matter —
-// run directly on the live state inside an undo-journal transaction
-// (alloc.TxnAllocator) and are rolled back: O(running placements), no
-// O(tree) clone. Non-conservative backfill instead replays onto a clone and
-// caches it, because every displacement check reuses the same shadow-time
-// state: the clone answers each check in O(candidate) where a live-state
-// transaction would re-release the whole running set per candidate. The
-// mechanisms are pinned bit-for-bit equal by differential tests across
-// every policy and scheduling mode.
+// Every what-if pass is the same completion replay (replay) over a state
+// that is thrown away afterwards. Where only the answer is kept —
+// conservative and FIFO reservations, deadline admission — whatIf picks the
+// state: the live one under an undo-journal transaction (alloc.TxnAllocator)
+// when the allocator has one, a clone otherwise. Non-conservative backfill
+// needs two states at once, so its reservation always replays onto a clone
+// and keeps it (see reservation). Differential tests pin the transactional
+// and the clone mechanism bit-for-bit equal across every policy and mode.
 package engine
 
 import (
@@ -81,11 +78,6 @@ type Config struct {
 	// MeasureAllocTime records wall-clock time spent in Allocate calls on
 	// the live state (Table 3). Disable for deterministic tests.
 	MeasureAllocTime bool
-	// DisableFeasibilityCache turns off negative-feasibility memoization
-	// even when the allocator supports it (alloc.FeasibilityClasser). The
-	// cache never changes scheduling outcomes — see DESIGN.md §11 — so this
-	// exists for differential tests and measurement, not correctness.
-	DisableFeasibilityCache bool
 	// OnFailure selects what happens to running jobs whose allocation
 	// intersects an injected failure (Fail). The zero value is FailRequeue.
 	OnFailure FailurePolicy
@@ -253,8 +245,8 @@ type Accounting struct {
 	// the negative-feasibility cache without running the allocator's search;
 	// FeasCacheMisses counts consults that fell through to a real search.
 	// FeasCacheInvalidations counts the times a state-version change
-	// discarded a non-empty cache. All three stay zero when the cache is
-	// disabled or the allocator does not support it.
+	// discarded a non-empty cache. All three stay zero when the allocator
+	// does not support the cache (alloc.FeasibilityClasser).
 	FeasCacheHits, FeasCacheMisses, FeasCacheInvalidations int
 	// Killed lists jobs terminated by failures under the FailKill policy
 	// (empty unless Fail was called on a kill-policy engine).
@@ -376,10 +368,9 @@ type Engine struct {
 	// Cached reservation for the blocked head: the shadow time plus, for
 	// non-conservative backfill, the shadow-time what-if state — a clone
 	// advanced to the shadow time, kept current by mirroring backfilled
-	// jobs that run past it. Conservative and FIFO reservations need no
-	// clone (resvSnap stays nil): they only consume the shadow time and
-	// the fits-at-all verdict, computed transactionally when the allocator
-	// supports it.
+	// jobs that run past it. Conservative and FIFO reservations keep no
+	// state (resvSnap stays nil): they only consume the shadow time and
+	// the fits-at-all verdict.
 	resvValid  bool
 	resvID     int64
 	resvEpoch  int64
@@ -388,23 +379,23 @@ type Engine struct {
 	resvOK     bool
 
 	// txnAlloc is non-nil when the allocator supports undo-journal
-	// transactions; snapshot-free what-if passes then run on the live
-	// state wherever no cached clone is needed afterwards.
+	// transactions; only whatIf looks at it.
 	txnAlloc alloc.TxnAllocator
 	// elasticPF is non-nil when the allocator exposes its partition search
-	// (alloc.PartitionFinder); elastic shrink/grow placements are then
-	// independently re-verified with partition.Verify before being charged.
+	// (alloc.PartitionFinder); place then re-verifies elastic placements
+	// with partition.Verify before charging them. Asserted once here so the
+	// placement hot path pays no interface assertion per call.
 	elasticPF alloc.PartitionFinder
-	// byEnd is the reservation's reusable sort scratch.
+	// byEnd is replay's reusable sort scratch.
 	byEnd []*runningJob
 
 	// Negative-feasibility cache (DESIGN.md §11). feasClass is non-nil when
-	// the allocator implements alloc.FeasibilityClasser and the cache is
-	// enabled: a failed Allocate then proves every same-(size, class)
-	// attempt infeasible until the live state's version changes. The cache
-	// applies only to live-state searches (allocate and the transactional
-	// reservation's head probes) — clone-based passes have their own State
-	// whose versions are not comparable with the live one.
+	// the allocator implements alloc.FeasibilityClasser: a failed Allocate
+	// then proves every same-(size, class) attempt infeasible until the
+	// live state's version changes. The cache applies only to live-state
+	// searches (place, and replay when it runs on the live state) —
+	// clone-based passes have their own State whose versions are not
+	// comparable with the live one.
 	feasClass func(topology.JobID) int32
 	// feasMono is set when the allocator additionally declares
 	// alloc.MonotoneFeasibility; the cache then degenerates to a single
@@ -466,7 +457,7 @@ func New(cfg Config) (*Engine, error) {
 		elasticPF: pf,
 		feasMin:   maxInt,
 	}
-	if fc, ok := cfg.Alloc.(alloc.FeasibilityClasser); ok && !cfg.DisableFeasibilityCache {
+	if fc, ok := cfg.Alloc.(alloc.FeasibilityClasser); ok {
 		e.feasClass = fc.FeasibilityClass
 		_, e.feasMono = cfg.Alloc.(alloc.MonotoneFeasibility)
 		if !e.feasMono {
@@ -617,25 +608,16 @@ func (e *Engine) Cancel(id int64) (JobStatus, error) {
 		e.schedule(e.now)
 		e.observe(e.now)
 	case StateRunning:
-		rj := it.rj
 		e.releaseEpoch++
 		e.cancelEpoch++
-		e.cfg.Alloc.Release(rj.pl)
-		rj.tombstone()
-		delete(e.running, rj)
-		e.used -= it.j.Size
+		e.cfg.Alloc.Release(it.rj.pl)
+		e.detachRunning(it.rj)
 		e.pushUtil(e.now)
 		it.state = StateCancelled
 		it.end = e.now
 		e.counts.Cancelled++
 		e.retire(it)
-		// A cancelled running job ends work just like a completion does;
-		// without this the accounting window would stop at the previous
-		// completion and overstate utilization.
-		if e.now > e.acc.LastEnd {
-			e.acc.LastEnd = e.now
-			e.lastEndIntegral = e.utilIntegralTo(e.now)
-		}
+		e.workEnded(e.now)
 		e.schedule(e.now)
 		e.observe(e.now)
 	}
@@ -687,10 +669,7 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 	for _, rj := range affected {
 		it := rj.it
 		e.cfg.Alloc.Release(rj.pl)
-		rj.tombstone()
-		delete(e.running, rj)
-		e.used -= it.j.Size
-		it.rj = nil
+		e.detachRunning(rj)
 		switch {
 		case e.cfg.OnFailure == FailKill:
 			it.state = StateKilled
@@ -710,21 +689,14 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 		default:
 			// FailRequeue — and FailShrink for rigid jobs (or with Elastic
 			// off): whole-job requeue, full rerun.
-			it.state = StateQueued
-			it.start, it.end = 0, 0
-			e.queue = append(e.queue, it)
+			e.requeue(it)
 			e.counts.Requeued++
 			rep.Requeued++
 		}
 	}
 	if len(affected) > 0 {
 		e.pushUtil(now)
-		// An aborted run segment ends work like a completion or a
-		// cancellation does.
-		if now > e.acc.LastEnd {
-			e.acc.LastEnd = now
-			e.lastEndIntegral = e.utilIntegralTo(now)
-		}
+		e.workEnded(now)
 	}
 
 	// With every intersecting holder released the failure's resources are
@@ -754,10 +726,7 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 		if e.shrinkOne(c.it, c.remain, now) {
 			rep.Shrunk++
 		} else {
-			it := c.it
-			it.state = StateQueued
-			it.start, it.end = 0, 0
-			e.queue = append(e.queue, it)
+			e.requeue(c.it)
 			e.counts.Requeued++
 			rep.Requeued++
 		}
@@ -920,10 +889,26 @@ func (e *Engine) complete(rj *runningJob, now float64) {
 		})
 	}
 	e.retire(rj.it)
+	e.workEnded(now)
+}
+
+// workEnded extends the accounting window to now: a run segment just ended
+// there — by completion, cancellation or a failure. Without it the window
+// would stop at the previous completion and overstate utilization.
+func (e *Engine) workEnded(now float64) {
 	if now > e.acc.LastEnd {
 		e.acc.LastEnd = now
 		e.lastEndIntegral = e.utilIntegralTo(now)
 	}
+}
+
+// requeue sends a displaced job to the back of the queue. Its effective
+// runtime is the caller's to set: untouched for a full rerun (failures), cut
+// to the remaining time for a checkpointed victim (finishPreempt).
+func (e *Engine) requeue(it *jobItem) {
+	it.state = StateQueued
+	it.start, it.end = 0, 0
+	e.queue = append(e.queue, it)
 }
 
 // start launches a job whose placement has already been charged.
@@ -991,13 +976,21 @@ func (e *Engine) feasRecordFailure(size int, id int64) {
 	e.feasFailed[feasKey{size: size, class: e.feasClass(topology.JobID(id))}] = struct{}{}
 }
 
-// allocate tries a live placement, accounting scheduling time. Attempts the
-// feasibility cache can refute skip the allocator search entirely; they
-// still count as AllocCalls (logical attempts), keeping the accounting
-// identical with and without the cache.
-func (e *Engine) allocate(it *jobItem) (*topology.Placement, bool) {
+// place tries a live placement of the job at the given size, accounting
+// scheduling time. Attempts the feasibility cache can refute skip the
+// allocator search entirely; they still count as AllocCalls (logical
+// attempts), keeping the accounting identical with and without the cache.
+//
+// verify is the elastic legality guard, set by the moves that place a job at
+// a size or in a state the ordinary queue scan never produces (shrink, grow,
+// preempt): when the allocator exposes its partition search
+// (alloc.PartitionFinder), the partition a same-state Allocate would charge
+// is found first and independently re-verified with partition.Verify. A
+// found-but-illegal partition (a search bug) is refused rather than charged,
+// without poisoning the feasibility cache.
+func (e *Engine) place(it *jobItem, size int, verify bool) (*topology.Placement, bool) {
 	e.acc.AllocCalls++
-	if e.feasInfeasible(it.j.Size, it.j.ID) {
+	if e.feasInfeasible(size, it.j.ID) {
 		e.acc.FeasCacheHits++
 		return nil, false
 	}
@@ -1005,14 +998,27 @@ func (e *Engine) allocate(it *jobItem) (*topology.Placement, bool) {
 	if e.cfg.MeasureAllocTime {
 		t0 = time.Now()
 	}
-	pl, ok := e.cfg.Alloc.Allocate(topology.JobID(it.j.ID), it.j.Size)
+	id := topology.JobID(it.j.ID)
+	var pl *topology.Placement
+	ok, illegal := true, false
+	if verify && e.elasticPF != nil {
+		p, found := e.elasticPF.FindJobPartition(id, size)
+		if !found {
+			ok = false
+		} else if err := p.Verify(e.cfg.Alloc.Tree()); err != nil {
+			ok, illegal = false, true
+		}
+	}
+	if ok {
+		pl, ok = e.cfg.Alloc.Allocate(id, size)
+	}
 	if e.cfg.MeasureAllocTime {
 		e.acc.AllocSeconds += time.Since(t0).Seconds()
 	}
 	if e.feasClass != nil {
 		e.acc.FeasCacheMisses++
-		if !ok {
-			e.feasRecordFailure(it.j.Size, it.j.ID)
+		if !ok && !illegal {
+			e.feasRecordFailure(size, it.j.ID)
 		}
 	}
 	return pl, ok
@@ -1054,7 +1060,7 @@ func (e *Engine) scheduleQueue(now float64) {
 			if e.headBlocked && head.j.ID == e.headBlockedID && e.releaseEpoch == e.headBlockedEpoch {
 				break
 			}
-			pl, ok := e.allocate(head)
+			pl, ok := e.place(head, head.j.Size, false)
 			if !ok && e.cfg.Elastic {
 				// A blocked urgent head (positive priority, or a deadline
 				// still achievable) may checkpoint-requeue strictly-lower-
@@ -1115,7 +1121,7 @@ func (e *Engine) scheduleQueue(now float64) {
 		for i < len(e.queue) && examined < e.window {
 			cand := e.queue[i]
 			examined++
-			pl, ok := e.allocate(cand)
+			pl, ok := e.place(cand, cand.j.Size, false)
 			if !ok {
 				i++
 				continue
@@ -1163,30 +1169,56 @@ func (e *Engine) headFitsAtShadow(head *jobItem, snap alloc.Allocator, pl *topol
 }
 
 // reservation computes the head job's shadow time: the earliest completion
-// time at which the head fits, found by replaying running jobs' completions
-// in a what-if pass.
+// time at which the head fits.
 //
 // Conservative and FIFO schedulers consume only the shadow time and the
-// fits-at-all verdict, so their pass runs transactionally on the live state
-// (O(running placements), no O(tree) clone) when the allocator supports it.
-// Non-conservative backfill also needs the shadow-time state afterwards,
-// once per displacement check: there the pass runs on a clone, which is
-// returned and cached. A single live-state transaction cannot amortize
-// those checks — each one would have to re-release every running job and
-// roll back, paying O(running placements) per candidate where the clone
-// pays O(candidate) — so the clone is the faster engine for that mode, not
-// a fallback (measured ~4x on the backfill-heavy benchmark).
+// fits-at-all verdict, so their pass runs on whatever whatIf hands out and
+// the state is discarded. Non-conservative backfill needs two states at
+// once: candidates allocate on the live state while the head is probed on
+// the shadow-time state, once per displacement check (headFitsAtShadow). A
+// transaction on the live state cannot be both, so that mode always replays
+// onto a clone, which is returned (advanced to the shadow time, head not
+// placed) and cached with the reservation.
 func (e *Engine) reservation(head *jobItem) (float64, alloc.Allocator, bool) {
-	if e.txnAlloc != nil && (e.cfg.Conservative || e.cfg.DisableBackfill) {
-		shadow, ok := e.reservationTxn(head)
+	if e.cfg.Conservative || e.cfg.DisableBackfill {
+		a, live, discard := e.whatIf()
+		shadow, ok := e.replay(a, head, live)
+		discard()
 		return shadow, nil, ok
 	}
-	return e.reservationClone(head)
+	snap := e.cfg.Alloc.Clone()
+	shadow, ok := e.replay(snap, head, false)
+	if !ok {
+		return 0, nil, false
+	}
+	return shadow, snap, true
 }
 
-// sortedByEnd fills the engine's reusable scratch buffer with the running
-// set ordered by completion time (ties by job ID).
-func (e *Engine) sortedByEnd() []*runningJob {
+// whatIf hands out a state for a pass whose mutations are thrown away: the
+// live state inside an undo-journal transaction when the allocator supports
+// one (O(mutations) to undo, no O(tree) clone), a clone otherwise. discard
+// ends the pass; live tells the caller that a is the state the feasibility
+// cache's verdicts are about. It is the one place the engine chooses between
+// the two mechanisms.
+func (e *Engine) whatIf() (a alloc.Allocator, live bool, discard func()) {
+	if e.txnAlloc != nil {
+		e.txnAlloc.Begin()
+		return e.txnAlloc, true, e.txnAlloc.Rollback
+	}
+	return e.cfg.Alloc.Clone(), false, func() {}
+}
+
+// replay is the engine's one counterfactual (EASY backfilling, Section 5.1):
+// release the running jobs' placements on a in completion order (ties by job
+// ID) and return the first completion time at which the job fits. a is left
+// advanced to that time with the job not placed.
+//
+// cached consults and feeds the feasibility cache, and is sound only when a
+// is the live state: versions of a clone are not comparable with the live
+// one's. A verdict memoized outside the pass is then reusable inside it and
+// vice versa. (In practice every release batch bumps the version, so hits
+// within one pass are rare; the consult is O(1) either way.)
+func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64, ok bool) {
 	byEnd := e.byEnd[:0]
 	for rj := range e.running {
 		byEnd = append(byEnd, rj)
@@ -1197,86 +1229,38 @@ func (e *Engine) sortedByEnd() []*runningJob {
 		}
 		return byEnd[i].it.j.ID < byEnd[j].it.j.ID
 	})
-	e.byEnd = byEnd
-	return byEnd
-}
-
-// dropScratch zeroes the scratch entries so completed jobs (and their
-// placements) are not pinned until the next reservation.
-func (e *Engine) dropScratch(byEnd []*runningJob) {
-	for i := range byEnd {
-		byEnd[i] = nil
-	}
-	e.byEnd = byEnd[:0]
-}
-
-// reservationTxn is the snapshot-free shadow-time computation: completions
-// are replayed on the live state inside an undo transaction and rolled back.
-func (e *Engine) reservationTxn(head *jobItem) (float64, bool) {
-	a := e.txnAlloc
-	byEnd := e.sortedByEnd()
-	a.Begin()
-	var shadow float64
-	ok := false
-	i := 0
-	for i < len(byEnd) {
-		t := byEnd[i].end
-		for i < len(byEnd) && byEnd[i].end == t {
+	size, id := it.j.Size, topology.JobID(it.j.ID)
+	for i := 0; !ok && i < len(byEnd); {
+		end := byEnd[i].end
+		for i < len(byEnd) && byEnd[i].end == end {
 			a.Release(byEnd[i].pl)
 			i++
 		}
 		// Cheap necessary condition before the real search.
-		if a.FreeNodes() < head.j.Size {
+		if a.FreeNodes() < size {
 			continue
 		}
-		// The what-if pass runs on the live state, so its versions are
-		// comparable with the cache's: a verdict memoized outside the
-		// transaction is reusable here and vice versa. (In practice every
-		// release batch bumps the version, so hits within one pass are
-		// rare; the consult is O(1) either way.)
-		if e.feasInfeasible(head.j.Size, head.j.ID) {
-			e.acc.FeasCacheHits++
-			continue
+		if cached {
+			if e.feasInfeasible(size, it.j.ID) {
+				e.acc.FeasCacheHits++
+				continue
+			}
+			if e.feasClass != nil {
+				e.acc.FeasCacheMisses++
+			}
 		}
-		if e.feasClass != nil {
-			e.acc.FeasCacheMisses++
-		}
-		if hpl, fits := a.Allocate(topology.JobID(head.j.ID), head.j.Size); fits {
-			a.Release(hpl)
-			shadow, ok = t, true
-			break
-		}
-		e.feasRecordFailure(head.j.Size, head.j.ID)
-	}
-	a.Rollback()
-	e.dropScratch(byEnd)
-	return shadow, ok
-}
-
-// reservationClone is the clone-based shadow-time computation: completions
-// are replayed on a deep clone, which is returned (advanced to the shadow
-// time, head not placed) for the backfill displacement checks to reuse.
-func (e *Engine) reservationClone(head *jobItem) (float64, alloc.Allocator, bool) {
-	snap := e.cfg.Alloc.Clone()
-	byEnd := e.sortedByEnd()
-	defer e.dropScratch(byEnd)
-	i := 0
-	for i < len(byEnd) {
-		t := byEnd[i].end
-		for i < len(byEnd) && byEnd[i].end == t {
-			snap.Release(byEnd[i].pl)
-			i++
-		}
-		// Cheap necessary condition before the real search.
-		if snap.FreeNodes() < head.j.Size {
-			continue
-		}
-		if hpl, ok := snap.Allocate(topology.JobID(head.j.ID), head.j.Size); ok {
-			snap.Release(hpl)
-			return t, snap, true
+		if pl, fits := a.Allocate(id, size); fits {
+			a.Release(pl)
+			t, ok = end, true
+		} else if cached {
+			e.feasRecordFailure(size, it.j.ID)
 		}
 	}
-	return 0, nil, false
+	// Zero the scratch so completed jobs (and their placements) are not
+	// pinned until the next replay.
+	clear(byEnd)
+	e.byEnd = byEnd[:0]
+	return t, ok
 }
 
 // pushUtil records a used-node step (coalescing same-time updates) and

@@ -1,8 +1,8 @@
 package engine_test
 
 // Differential pinning and edge cases for the negative-feasibility cache
-// (DESIGN.md §11): an engine with the cache enabled must produce the same
-// schedule, event for event, as one with the cache disabled — the cache may
+// (DESIGN.md §11): an engine with the cache must produce the same schedule,
+// event for event, as one whose allocator does not offer it — the cache may
 // only skip allocator searches whose failure is already proven, never change
 // a verdict. The edge tests then pin the specific invalidation hazards:
 // cancellation mid-pass, queue churn through empty, same-size candidates
@@ -12,6 +12,7 @@ package engine_test
 import (
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -19,10 +20,23 @@ import (
 	"repro/internal/trace"
 )
 
-// TestCachedEngineMatchesUncachedEngine drives a cache-enabled and a
-// cache-disabled engine of the same policy through identical randomized
-// histories across all six policies and all three backfill modes. Both run
-// in transaction mode, so the cache is the only difference. The shared
+// uncached is the cache-less reference: embedding the TxnAllocator interface
+// (not the concrete type) hides alloc.FeasibilityClasser and
+// alloc.MonotoneFeasibility, so the engine builds no feasibility cache, while
+// Begin/Rollback/Commit stay — the way cloneOnly hides the transaction
+// methods. (alloc.PartitionFinder goes too; only elastic moves ask for it
+// and these tests make none.)
+type uncached struct{ alloc.TxnAllocator }
+
+func newUncached(t *testing.T, policy string, tree *topology.FatTree) alloc.Allocator {
+	t.Helper()
+	return uncached{newPolicy(t, policy, tree).(alloc.TxnAllocator)}
+}
+
+// TestCachedEngineMatchesUncachedEngine drives a cached and an uncached
+// engine of the same policy through identical randomized histories across
+// all six policies and all three backfill modes. Both run in transaction
+// mode, so the cache is the only difference. The shared
 // accounting comparison includes AllocCalls, pinning that cache hits still
 // count as logical allocation attempts.
 func TestCachedEngineMatchesUncachedEngine(t *testing.T) {
@@ -42,11 +56,10 @@ func TestCachedEngineMatchesUncachedEngine(t *testing.T) {
 						t.Fatal(err)
 					}
 					eplain, err := engine.New(engine.Config{
-						Alloc:                   newPolicy(t, policy, tree),
-						Conservative:            v.conservative,
-						DisableBackfill:         v.disableBackfill,
-						Window:                  10,
-						DisableFeasibilityCache: true,
+						Alloc:           newUncached(t, policy, tree),
+						Conservative:    v.conservative,
+						DisableBackfill: v.disableBackfill,
+						Window:          10,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -55,7 +68,7 @@ func TestCachedEngineMatchesUncachedEngine(t *testing.T) {
 					acc := ecache.Accounting()
 					hits[policy] += acc.FeasCacheHits
 					if p := eplain.Accounting(); p.FeasCacheHits != 0 || p.FeasCacheMisses != 0 || p.FeasCacheInvalidations != 0 {
-						t.Fatalf("%s/%s seed %d: disabled cache reported activity: %+v", policy, v.name, seed, p)
+						t.Fatalf("%s/%s seed %d: uncached engine reported cache activity: %+v", policy, v.name, seed, p)
 					}
 				}
 			})
@@ -174,8 +187,8 @@ func TestFeasCacheQueueChurn(t *testing.T) {
 // conservative invalidation changes nothing observable.)
 func TestFeasCacheSameSizeAcrossBackfillStart(t *testing.T) {
 	tree := topology.MustNew(8) // 128 nodes: 8 pods x 4 leaves x 4 nodes
-	run := func(disable bool) *engine.Engine {
-		e := mkEngine(t, engine.Config{Alloc: core.NewAllocator(tree), DisableFeasibilityCache: disable})
+	run := func(a alloc.Allocator) *engine.Engine {
+		e := mkEngine(t, engine.Config{Alloc: a})
 		// 6 whole pods, leaving 2 pods (32 nodes, 8 whole leaves) free.
 		submitAt(t, e, 1, 96, 0, 1000)
 		// Head blocker: whole machine, parks with shadow time 1000.
@@ -193,7 +206,7 @@ func TestFeasCacheSameSizeAcrossBackfillStart(t *testing.T) {
 		e.AdvanceTo(0)
 		return e
 	}
-	cached, plain := run(false), run(true)
+	cached, plain := run(core.NewAllocator(tree)), run(newUncached(t, "Jigsaw", tree))
 	for id, want := range map[int64]engine.State{
 		1: engine.StateRunning, 2: engine.StateQueued, 3: engine.StateQueued,
 		4: engine.StateQueued, 5: engine.StateRunning, 6: engine.StateQueued,

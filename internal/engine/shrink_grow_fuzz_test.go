@@ -4,13 +4,16 @@ package engine_test
 // a byte string decodes into an op sequence (elastic/rigid submissions,
 // event delivery, time advance, fail/recover under FailShrink, cancel) that
 // drives two engines that must behave identically — one on the real
-// transactional allocator (shrink/grow/preempt what-ifs run on the live
-// state under the undo journal, with the PartitionFinder verify guard) and
-// one on a cloneOnly wrapper that hides both extensions (every what-if
-// replays on a deep clone, placements charged without the independent
-// verify). Snapshots must match after every op and the full accounting
-// ledgers after the drain, pinning that journal rollback is exact under
-// elastic moves and that find-then-allocate charges the shape it found.
+// allocator (deadline admission's what-if runs on the live state under the
+// undo journal, placements consult the feasibility cache, and
+// shrink/grow/preempt placements pass the PartitionFinder verify guard) and
+// one on a cloneOnly wrapper that hides all three extensions (admission
+// replays on a deep clone, no cache, placements charged without the
+// independent verify). Failed grow and preempt attempts are undone with
+// Mirror in both. Snapshots must match after every op and the full
+// accounting ledgers after the drain, pinning that the journal rollback and
+// the mirrored-back attempts are exact under elastic moves and that
+// find-then-allocate charges the shape it found.
 
 import (
 	"math/rand"
@@ -51,8 +54,8 @@ func runShrinkGrowDiff(t *testing.T, data []byte) {
 		}
 		return eng
 	}
-	et := newEng(false) // transaction mode, PartitionFinder verify guard on
-	ec := newEng(true)  // clone mode, both extensions hidden
+	et := newEng(false) // transactions, feasibility cache, PartitionFinder verify guard
+	ec := newEng(true)  // clone mode, all three hidden
 
 	pos := 0
 	next := func() (byte, bool) {

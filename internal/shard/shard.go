@@ -1,7 +1,7 @@
 // Package shard defines the fabric decomposition the sharded daemon uses:
 // cells (contiguous pod ranges, one scheduling engine each), deterministic
 // job routing to cells, and composition of legal cross-cell placements from
-// whole pods using the partition conditions of Section 3.2.
+// the pods' free leaves using the partition conditions of Section 3.2.
 //
 // The package is pure logic over topology and partition — no goroutines, no
 // locks — so the concurrency-heavy gateway (internal/server) stays thin and
@@ -11,7 +11,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/partition"
 	"repro/internal/topology"
 )
 
@@ -90,74 +89,6 @@ func RouteHash(t *topology.FatTree, cells []Cell, id int64, size int) int {
 		}
 	}
 	return -1
-}
-
-// ComposeWholePods builds the legal partition that packs size nodes onto the
-// given fully-free pods: size/PodNodes full trees plus a remainder tree for
-// the rest, every full leaf connected to all L2 switches and every L2 to one
-// spine per full tree. Because the three-level geometry is square
-// (NodesPerLeaf == LeavesPerPod == L2PerPod == SpinesPerGroup == k/2), the
-// canonical index sets S = {0..NL-1} and SpineSet[i] = {0..LT-1} always
-// satisfy conditions 1-6; Verify is still run once as a guard. The caller
-// provides exactly ceil(size/PodNodes) pods and guarantees they are fully
-// free on the states the placement will be mirrored to.
-func ComposeWholePods(t *topology.FatTree, pods []int, size int) (*partition.Partition, error) {
-	pn := t.PodNodes()
-	if size < pn {
-		// Sub-pod jobs are single-cell by construction (every cell is at
-		// least one pod); this path only ever composes wider-than-a-pod
-		// shapes, whose NL/LT are the full-geometry constants.
-		return nil, fmt.Errorf("shard: size %d below whole-pod granularity %d", size, pn)
-	}
-	full, rem := size/pn, size%pn
-	need := full
-	if rem > 0 {
-		need++
-	}
-	if len(pods) != need {
-		return nil, fmt.Errorf("shard: %d pods for size %d (need %d)", len(pods), size, need)
-	}
-	nl, lt := t.NodesPerLeaf, t.LeavesPerPod
-	p := &partition.Partition{NL: nl, LT: lt, S: iota0(nl)}
-	for i := 0; i < full; i++ {
-		tr := partition.TreeAlloc{Pod: pods[i]}
-		for l := 0; l < lt; l++ {
-			tr.Leaves = append(tr.Leaves, partition.LeafAlloc{Leaf: l, N: nl})
-		}
-		p.Trees = append(p.Trees, tr)
-	}
-	lrT, remLeaf := rem/nl, rem%nl
-	if rem > 0 {
-		tr := partition.TreeAlloc{Pod: pods[full], Remainder: full > 0}
-		for l := 0; l < lrT; l++ {
-			tr.Leaves = append(tr.Leaves, partition.LeafAlloc{Leaf: l, N: nl})
-		}
-		if remLeaf > 0 {
-			tr.Leaves = append(tr.Leaves, partition.LeafAlloc{Leaf: lrT, N: remLeaf})
-			p.Sr = iota0(remLeaf)
-		}
-		p.Trees = append(p.Trees, tr)
-	}
-	if p.MultiTree() {
-		p.SpineSet = make(map[int][]int, nl)
-		for _, i := range p.S {
-			p.SpineSet[i] = iota0(lt)
-		}
-		if rem > 0 && full > 0 {
-			p.SpineSetR = make(map[int][]int, nl)
-			for _, i := range p.S {
-				n := lrT
-				if i < remLeaf {
-					n++
-				}
-				p.SpineSetR[i] = iota0(n)
-			}
-		}
-	}
-	if err := p.Verify(t); err != nil {
-		return nil, fmt.Errorf("shard: composed partition illegal: %w", err)
-	}
-	return p, nil
 }
 
 // SplitByCell splits a (not yet applied) cross-shard placement into one

@@ -26,8 +26,9 @@ package shard
 // path: whenever ceil(size/PodNodes) fully-free pods exist (the old path's
 // only success condition), they are all eligible at LT = LeavesPerPod and
 // unconditionally acceptable, so the greedy always completes — and on an
-// all-fully-free candidate set it reproduces ComposeWholePods' partition
-// exactly (the property and differential tests in subpod_test.go pin both).
+// all-fully-free candidate set it reproduces the whole-pod path's partition
+// exactly (the property and differential tests in subpod_test.go pin both,
+// against the reference kept in wholepods_test.go).
 
 import (
 	"fmt"
@@ -63,10 +64,10 @@ func lowestBits(mask uint64, m int) []int {
 // normal wait-for-capacity answer, not a fault). Candidates may appear in
 // any order and may be partially occupied; only their fully-free leaves and
 // full-residual spine uplinks are ever used, so a placement derived from the
-// result charges nothing the summaries did not report free. Like
-// ComposeWholePods, it assumes the square three-level geometry (NodesPerLeaf
-// == LeavesPerPod == L2PerPod == SpinesPerGroup), which is what makes
-// S = {0..NL-1} always legal for full leaves.
+// result charges nothing the summaries did not report free. It assumes the
+// square three-level geometry (NodesPerLeaf == LeavesPerPod == L2PerPod ==
+// SpinesPerGroup), which is what makes S = {0..NL-1} always legal for full
+// leaves.
 func ComposeSubPod(t *topology.FatTree, cands []topology.PodSummary, size int) (*partition.Partition, error) {
 	nl, ltMax := t.NodesPerLeaf, t.LeavesPerPod
 	if size < nl {
