@@ -1,5 +1,5 @@
 // Elastic (malleable) scheduling: the engine's shrink/grow/preempt moves and
-// the deadline admission verdict (DESIGN.md §18). Everything in this file is
+// the deadline admission verdict (DESIGN.md §17). Everything in this file is
 // doubly gated — Config.Elastic must be set AND the job must actually declare
 // elastic fields (trace.Job MinNodes/MaxNodes/Priority/Deadline) — so a trace
 // of rigid jobs schedules bit-for-bit identically with Elastic on or off: no

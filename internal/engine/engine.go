@@ -81,7 +81,7 @@ type Config struct {
 	// OnFailure selects what happens to running jobs whose allocation
 	// intersects an injected failure (Fail). The zero value is FailRequeue.
 	OnFailure FailurePolicy
-	// Elastic enables the malleability moves (DESIGN.md §18): shrink on
+	// Elastic enables the malleability moves (DESIGN.md §17): shrink on
 	// failure under FailShrink, grow into freed capacity, priority
 	// preemption, and deadline admission verdicts. Every elastic path is
 	// additionally gated on the job actually declaring elastic fields
@@ -114,7 +114,7 @@ const (
 	FailKill
 	// FailShrink re-places an affected malleable job (trace.Job.MinSize
 	// below its size) on the surviving fabric at the largest legal size in
-	// [MinSize, Size], conserving its remaining work (DESIGN.md §18). It
+	// [MinSize, Size], conserving its remaining work (DESIGN.md §17). It
 	// requires Config.Elastic; rigid jobs — and every job when Elastic is
 	// off — fall back to whole-job requeue, making the policy behaviorally
 	// identical to FailRequeue on pre-elastic traces.
@@ -184,7 +184,7 @@ func (s State) String() string {
 // Counts tallies job outcomes over the engine's lifetime. Requeued counts
 // failure-induced requeues (a job requeued twice counts twice); Killed counts
 // jobs terminated by failures under the FailKill policy. The elastic
-// counters tally malleability moves (DESIGN.md §18): Shrunk counts running
+// counters tally malleability moves (DESIGN.md §17): Shrunk counts running
 // jobs re-placed on failure under FailShrink (at a strictly smaller size, or
 // migrated at full size when the surviving fabric still holds one), Grown
 // counts running jobs expanded into freed capacity, and Preempted counts
@@ -533,7 +533,7 @@ func (e *Engine) Submit(j trace.Job) error {
 	}
 	e.counts.Submitted++
 	if e.cfg.Elastic && j.Deadline > 0 {
-		// Deadline admission (DESIGN.md §18): a verdict is advisory unless
+		// Deadline admission (DESIGN.md §17): a verdict is advisory unless
 		// it is VerdictRejected, in which case the job is refused outright —
 		// it can provably never meet its deadline (or never fit at all).
 		e.admit(it)

@@ -1,60 +1,55 @@
 package server
 
-// Cross-shard placement: jobs wider than the widest cell are owned by the
-// coordinator, a single goroutine that composes them across lanes at sub-pod
-// granularity (whole fully-free leaves; shard.ComposeSubPod).
+// Cross-shard placement (DESIGN.md §16): jobs wider than the widest cell are
+// owned by the coordinator, one goroutine serving a strict FIFO. It is the
+// only code that builds a partition from more than one engine's state, and
+// the only code that ever holds more than one lane.
 //
-// Placement protocol (the only code path that ever holds more than one
-// lane), DESIGN.md §17:
+// One attempt (tryPlace) is four units, and every early exit is one of their
+// return values:
 //
-//  1. Candidate search on published snapshots. The coordinator reads every
-//     lane's RCU view — each carries per-pod free summaries
-//     (topology.PodSummary) exact as of its StateVersion — and runs
-//     shard.ComposeSubPod over the union. The search is pure read-side work:
-//     an infeasible answer parks ZERO lanes, so a stuck wide job costs
-//     single-shard traffic nothing while it waits.
-//  2. Member-only parking. Only the lanes whose pods the composed partition
-//     actually touches are parked, in ascending index order (lane.park pins
-//     the lane's engine goroutine inside an admin closure). One coordinator,
-//     one fixed acquisition order over a subset, and lanes that never wait
-//     on each other: no cycle in the wait-for graph is possible, so no
-//     deadlock (DESIGN.md §16-§17).
-//  3. Align member clocks: advance each member engine to the furthest member
-//     clock (and to the job's arrival in virtual mode), so all slices start
-//     at one consistent instant. Non-member lanes' clocks are untouched.
-//  4. Optimistic validation. The composition used snapshots, so each parked
-//     member is revalidated against its live engine: if its StateVersion
-//     still matches the snapshot the candidates came from, nothing moved; if
-//     not, the exact chosen resources are re-checked (leaves fully free,
-//     spine uplinks at full residual). A conflict releases every parked lane
-//     and retries the whole attempt from a fresh snapshot read, up to
+//  1. compose — a pure function of the lanes' published Views. It runs
+//     shard.ComposeSubPod over their per-pod free summaries and returns a
+//     plan: the partition, the lanes that own its pods, and the StateVersion
+//     each of those lanes' Views was read at. No lane is touched: an
+//     infeasible answer parks nothing, so a stuck wide job costs shard-local
+//     traffic nothing while it waits.
+//  2. parkAll — pins the plan's member lanes, and only those, in ascending
+//     index order. One coordinator, one fixed acquisition order, and lanes
+//     that never wait on each other: the wait-for graph has no cycle. A
+//     member that cannot be parked (its lane is closing) releases the ones
+//     already held, in reverse.
+//  3. confirm — the live check. The member clocks are brought to one instant
+//     (which can itself start queued shard-local jobs). If every member's
+//     StateVersion still equals its View's, nothing moved and the snapshot
+//     plan stands. If one moved, the same composition runs again over the
+//     parked members' live summaries; it uses only leaves and spine uplinks
+//     those summaries report free, so its result is legal by construction
+//     and needs no second check. No composition is the lost race: every
+//     lane is released and place retries from fresh Views, up to
 //     crossMaxValidateRetries per wake.
-//  5. Charge each member engine its slice via StartPlaced with the runtime
-//     computed once at submit, then release in descending order; each
-//     release publishes a fresh snapshot, so readers see every slice as
-//     soon as the gateway answers.
+//  4. charge — splits the placement by cell, claims the job (the one
+//     waiting→running transition, which a concurrent cancel loses or wins
+//     whole), and starts each member's slice with the runtime computed once
+//     at submit. Release then walks the lanes in descending order; each
+//     publishes what it was charged before it resumes.
 //
-// Retries are event-driven: every lane publish that shows capacity coming
-// back (completions, cancels, recoveries) rings the coordinator's wake
-// channel *after* the publish, so the woken candidate search always sees the
-// freed capacity. A one-second failsafe rescan backstops a lost wake; it is
-// a belt-and-braces bound, not the pacing mechanism.
+// Retries are event-driven: a lane publish that shows capacity coming back
+// (completions, cancels, recoveries) rings the wake channel after the
+// publish, so the woken compose always sees the freed capacity. The
+// one-second failsafe rescan only backstops a lost wake.
 //
-// Queued wide jobs are served strictly FIFO among themselves; they do not
-// backfill around each other. Single-shard traffic keeps flowing between
-// attempts — member lanes are only parked for the O(partition) validation
-// and charge itself, and non-members are never parked at all.
-//
-// Failures intersecting one slice follow the owning shard's failure policy
-// independently (the slice is requeued or killed as a shard-local job);
-// surviving slices keep running, mirroring the paper's per-partition
-// fault containment.
+// Wide jobs are served strictly FIFO among themselves and do not backfill
+// around each other. A failure that hits one slice follows the owning
+// shard's failure policy on that slice alone; surviving slices keep running,
+// as the paper's per-partition fault containment has it.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -71,9 +66,9 @@ import (
 // matters if every signal between two frees is somehow missed.
 const crossFailsafeInterval = time.Second
 
-// crossMaxValidateRetries bounds back-to-back reattempts when optimistic
-// validation keeps losing races against single-shard traffic. After the
-// budget the coordinator waits for the next wake instead of spinning.
+// crossMaxValidateRetries bounds back-to-back reattempts when the live check
+// keeps losing races against single-shard traffic. After the budget the
+// coordinator waits for the next wake instead of spinning.
 const crossMaxValidateRetries = 4
 
 type crossState int
@@ -91,8 +86,8 @@ type crossJob struct {
 	members []int // owning lane indices once running
 }
 
-// coordinator owns every cross-shard job. All fields behind mu; the run
-// goroutine is the only caller of place.
+// coordinator owns every cross-shard job. fifo, jobs, closed and each job's
+// state are behind mu; the run goroutine is the only caller of place.
 type coordinator struct {
 	s *Server
 
@@ -101,21 +96,18 @@ type coordinator struct {
 	jobs   map[int64]*crossJob
 	closed bool
 
-	// Counters for /v1/shards and /metrics. placed counts successful
-	// placements; subpodPlaced the subset that used a partially-free pod or
-	// sub-pod tree shape (LT < LeavesPerPod). attempts counts snapshot-guided
-	// composition attempts, infeasible the ones that found no shape (and
-	// parked nothing), conflicts the optimistic-validation retries.
-	// shrunkPlaced counts placements of malleable jobs below their
-	// requested size (Config.Elastic): when the full size composes no
-	// shape, the search retries at descending whole-leaf sizes down to
-	// max(MinSize, one full leaf — ComposeSubPod's granularity floor).
-	placed       int64
-	subpodPlaced int64
-	shrunkPlaced int64
-	attempts     int64
-	infeasible   int64
-	conflicts    int64
+	// Counters for /v1/shards and /metrics, only ever incremented. attempts
+	// counts tryPlace calls; infeasible the ones that composed no shape (and
+	// parked nothing); conflicts the ones lost to a race after parking;
+	// placed the successes, subpodPlaced the subset that used a partially-free
+	// pod or a sub-pod tree shape (LT < LeavesPerPod), shrunkPlaced the
+	// malleable jobs (Config.Elastic) placed below their requested size.
+	placed       atomic.Int64
+	subpodPlaced atomic.Int64
+	shrunkPlaced atomic.Int64
+	attempts     atomic.Int64
+	infeasible   atomic.Int64
+	conflicts    atomic.Int64
 
 	wake chan struct{}
 	quit chan struct{}
@@ -144,17 +136,14 @@ func (c *coordinator) signalWake() {
 }
 
 // close stops the placement goroutine. Waiting jobs stay queued (and are
-// reported as such) — the daemon is shutting down.
+// reported as such) — the daemon is shutting down. Safe to call twice.
 func (c *coordinator) close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.done
-		return
+	if !c.closed {
+		c.closed = true
+		close(c.quit)
 	}
-	c.closed = true
 	c.mu.Unlock()
-	close(c.quit)
 	<-c.done
 }
 
@@ -164,11 +153,10 @@ func (c *coordinator) submit(j trace.Job) (engine.JobStatus, error) {
 	if !c.s.cfg.VirtualClock {
 		j.Arrival = c.s.cfg.NowFunc()
 	}
-	eff := j.Runtime
-	if c.s.cfg.ApplySpeedups && c.s.cfg.Scenario != nil {
-		eff = scenario.IsolatedRuntime(c.s.cfg.Scenario, j)
+	cj := &crossJob{j: j, eff: j.Runtime}
+	if c.s.cfg.ApplySpeedups {
+		cj.eff = scenario.IsolatedRuntime(c.s.cfg.Scenario, j)
 	}
-	cj := &crossJob{j: j, eff: eff}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -178,7 +166,12 @@ func (c *coordinator) submit(j trace.Job) (engine.JobStatus, error) {
 	c.jobs[j.ID] = cj
 	c.mu.Unlock()
 	c.signalWake()
-	return engine.JobStatus{Job: j, State: engine.StateQueued, Runtime: eff}, nil
+	return cj.queued(), nil
+}
+
+// queued is the job's status while no lane knows it.
+func (cj *crossJob) queued() engine.JobStatus {
+	return engine.JobStatus{Job: cj.j, State: engine.StateQueued, Runtime: cj.eff}
 }
 
 // waiting returns queued cross-shard jobs in FIFO order for the merged
@@ -188,7 +181,7 @@ func (c *coordinator) waiting() []engine.JobStatus {
 	defer c.mu.Unlock()
 	out := make([]engine.JobStatus, 0, len(c.fifo))
 	for _, cj := range c.fifo {
-		out = append(out, engine.JobStatus{Job: cj.j, State: engine.StateQueued, Runtime: cj.eff})
+		out = append(out, cj.queued())
 	}
 	return out
 }
@@ -208,16 +201,39 @@ type crossStats struct {
 // stats reports the coordinator counters.
 func (c *coordinator) stats() crossStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	waiting := len(c.fifo)
+	c.mu.Unlock()
 	return crossStats{
-		Waiting:      len(c.fifo),
-		Placed:       c.placed,
-		SubpodPlaced: c.subpodPlaced,
-		ShrunkPlaced: c.shrunkPlaced,
-		Attempts:     c.attempts,
-		Infeasible:   c.infeasible,
-		Conflicts:    c.conflicts,
+		Waiting:      waiting,
+		Placed:       c.placed.Load(),
+		SubpodPlaced: c.subpodPlaced.Load(),
+		ShrunkPlaced: c.shrunkPlaced.Load(),
+		Attempts:     c.attempts.Load(),
+		Infeasible:   c.infeasible.Load(),
+		Conflicts:    c.conflicts.Load(),
 	}
+}
+
+// slices runs each (when not nil) and then a point lookup of job id on every
+// member lane's engine goroutine, and returns the slices the lanes still know.
+func (c *coordinator) slices(id int64, members []int, each func(*engine.Engine)) ([]engine.JobStatus, error) {
+	sts := make([]engine.JobStatus, 0, len(members))
+	for _, li := range members {
+		var st engine.JobStatus
+		var ok bool
+		if err := c.s.lanes[li].do(func(e *engine.Engine) {
+			if each != nil {
+				each(e)
+			}
+			st, ok = e.Status(id)
+		}); err != nil {
+			return nil, err
+		}
+		if ok {
+			sts = append(sts, st)
+		}
+	}
+	return sts, nil
 }
 
 // status resolves a cross-owned job: queued and cancelled jobs answer from
@@ -229,8 +245,7 @@ func (c *coordinator) status(id int64) (engine.JobStatus, error) {
 		c.mu.Unlock()
 		return engine.JobStatus{}, fmt.Errorf("unknown cross-shard job %d", id)
 	}
-	st := engine.JobStatus{Job: cj.j, State: engine.StateQueued, Runtime: cj.eff}
-	state, members := cj.state, cj.members
+	st, state, members := cj.queued(), cj.state, cj.members
 	c.mu.Unlock()
 	switch state {
 	case crossWaiting:
@@ -239,22 +254,13 @@ func (c *coordinator) status(id int64) (engine.JobStatus, error) {
 		st.State = engine.StateCancelled
 		return st, nil
 	}
-	sts := make([]engine.JobStatus, 0, len(members))
-	for _, li := range members {
-		var got engine.JobStatus
-		var ok bool
-		if err := c.s.lanes[li].do(func(e *engine.Engine) { got, ok = e.Status(id) }); err != nil {
-			return engine.JobStatus{}, err
-		}
-		if ok {
-			sts = append(sts, got)
-		}
+	sts, err := c.slices(id, members, nil)
+	if err != nil {
+		return engine.JobStatus{}, err
 	}
 	if len(sts) == 0 {
 		// The job reached crossRunning but no member lane knows it anymore:
-		// every slice finished and was evicted. The job is over — report it
-		// terminal, not the pre-placement "queued" this fallback used to
-		// claim (which read as a job going backwards in time).
+		// every slice finished and was evicted. The job is over.
 		st.State = engine.StateCompleted
 		return st, nil
 	}
@@ -281,10 +287,11 @@ func (c *coordinator) cancel(w http.ResponseWriter, id int64) {
 				break
 			}
 		}
-		st := engine.JobStatus{Job: cj.j, State: engine.StateCancelled, Runtime: cj.eff}
+		st := cj.queued()
 		c.mu.Unlock()
 		// The head may have changed; let the placement goroutine re-examine.
 		c.signalWake()
+		st.State = engine.StateCancelled
 		writeJSON(w, http.StatusOK, toJobJSON(st))
 		return
 	case crossCancelled:
@@ -296,32 +303,19 @@ func (c *coordinator) cancel(w http.ResponseWriter, id int64) {
 	c.mu.Unlock()
 	cancelled := 0
 	var lastErr error
-	sts := make([]engine.JobStatus, 0, len(members))
-	for _, li := range members {
-		var st engine.JobStatus
-		var ok bool
-		var cerr error
-		if err := c.s.lanes[li].do(func(e *engine.Engine) {
-			_, cerr = e.Cancel(id)
-			st, ok = e.Status(id)
-		}); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		if cerr == nil {
+	sts, err := c.slices(id, members, func(e *engine.Engine) {
+		if _, lastErr = e.Cancel(id); lastErr == nil {
 			cancelled++
-		} else {
-			lastErr = cerr
 		}
-		if ok {
-			sts = append(sts, st)
-		}
-	}
-	if cancelled == 0 {
+	})
+	switch {
+	case err != nil:
+		writeError(w, http.StatusServiceUnavailable, "%v", err)
+	case cancelled == 0:
 		writeError(w, http.StatusConflict, "%v", lastErr)
-		return
+	default:
+		writeJSON(w, http.StatusOK, toJobJSON(snapshot.MergeStatuses(sts)))
 	}
-	writeJSON(w, http.StatusOK, toJobJSON(snapshot.MergeStatuses(sts)))
 }
 
 // run is the placement goroutine: woken by submits, cancels, and lane
@@ -332,22 +326,17 @@ func (c *coordinator) run() {
 	ticker := time.NewTicker(crossFailsafeInterval)
 	defer ticker.Stop()
 	for {
+		var failsafe <-chan time.Time // nil, so never ready, while nothing waits
 		c.mu.Lock()
-		pending := len(c.fifo) > 0
+		if len(c.fifo) > 0 {
+			failsafe = ticker.C
+		}
 		c.mu.Unlock()
-		if pending {
-			select {
-			case <-c.quit:
-				return
-			case <-c.wake:
-			case <-ticker.C:
-			}
-		} else {
-			select {
-			case <-c.quit:
-				return
-			case <-c.wake:
-			}
+		select {
+		case <-c.quit:
+			return
+		case <-c.wake:
+		case <-failsafe:
 		}
 		c.placeAll()
 	}
@@ -380,13 +369,12 @@ func (c *coordinator) placeAll() {
 	}
 }
 
-// place attempts one placement for the head, retrying immediately on
-// optimistic-validation conflicts up to the budget. It returns true when the
-// head is disposed of (started, or found cancelled), false when it must wait
-// for the next wake.
+// place attempts one placement for the head, retrying immediately on a lost
+// race up to the budget. It returns true when the head is disposed of
+// (started, or found cancelled), false when it must wait for the next wake.
 func (c *coordinator) place(cj *crossJob) bool {
-	// Cheap early check: a head cancelled before this attempt must not keep
-	// the FIFO waiting on its (possibly infeasible) shape.
+	// A head cancelled before this attempt must not keep the FIFO waiting on
+	// its (possibly infeasible) shape.
 	c.mu.Lock()
 	cancelled := cj.state != crossWaiting
 	c.mu.Unlock()
@@ -401,267 +389,242 @@ func (c *coordinator) place(cj *crossJob) bool {
 		if !conflict {
 			return false
 		}
-		c.mu.Lock()
-		c.conflicts++
-		c.mu.Unlock()
+		c.conflicts.Add(1)
 		if try >= crossMaxValidateRetries {
 			return false
 		}
 	}
 }
 
-// podLane maps a pod index to its owning lane, -1 if outside every cell.
-func (c *coordinator) podLane(pod int) int {
-	return shard.CellOf(c.s.cells, pod)
-}
-
-// laneViews loads every lane's published snapshot, forcing one fresh publish
-// on any lane whose view predates CapturePodSummaries (the Seq-0 view built
-// at construction). A lane that is closing contributes nothing.
-func (c *coordinator) laneViews() []*snapshot.View {
-	views := make([]*snapshot.View, len(c.s.lanes))
-	for i, l := range c.s.lanes {
-		v := l.pub.Load()
-		if v.Pods == nil {
-			if err := l.do(func(*engine.Engine) {}); err != nil {
-				continue
-			}
-			v = l.pub.Load()
-			if v.Pods == nil {
-				continue
-			}
-		}
-		views[i] = v
-	}
-	return views
-}
-
-// revalidate checks, against lane li's live allocation state, that every
-// resource the composed partition takes from li's pods is still exactly as
-// the snapshot promised: chosen leaves fully free (nodes and leaf uplinks)
-// and chosen spine uplinks at full residual. Strictly per-lane — it never
-// looks at pods other lanes own.
-func (c *coordinator) revalidate(st *topology.State, p *partition.Partition, li int) bool {
-	lpp := c.s.tree.LeavesPerPod
-	for _, tr := range p.Trees {
-		if c.podLane(tr.Pod) != li {
-			continue
-		}
-		for _, lf := range tr.Leaves {
-			if !st.FullyFreeLeaf(tr.Pod*lpp + lf.Leaf) {
-				return false
-			}
-		}
-		spines := p.SpineSet
-		if tr.Remainder {
-			spines = p.SpineSetR
-		}
-		for i, set := range spines {
-			for _, sp := range set {
-				if st.SpineUpResidual(tr.Pod, i, sp) != st.Capacity {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// tryPlace runs one snapshot-guided placement attempt. Returns done=true
-// when the head is disposed of (started, cancelled, or dropped on an
-// internal error) and conflict=true when optimistic validation lost a race
-// and the caller should retry from fresh snapshots. (false, false) means
-// infeasible: wait for capacity — no lane was parked finding that out.
+// tryPlace runs one attempt: compose, parkAll, confirm, charge. Returns
+// done=true when the head is disposed of (started, cancelled, or dropped on
+// an internal error) and conflict=true when the live check lost a race and
+// the caller should retry from fresh Views. (false, false) means wait for
+// capacity: nothing composed (and nothing was parked finding that out), or a
+// member lane is closing.
 func (c *coordinator) tryPlace(cj *crossJob) (done, conflict bool) {
-	c.mu.Lock()
-	c.attempts++
-	c.mu.Unlock()
+	c.attempts.Add(1)
+	pl, err := compose(c.s.tree, c.s.cells, c.s.laneViews(), cj.j, c.s.cfg.Elastic)
+	if errors.Is(err, errUnownedPod) {
+		c.dropHead(cj, "compose refused", err) // a bug, not fragmentation: do not spin on it
+		return true, false
+	}
+	if err != nil {
+		c.infeasible.Add(1)
+		return false, false
+	}
+	engs, release, err := parkAll(c.s.lanes, pl.members)
+	if err != nil {
+		return false, false
+	}
+	defer release()
+	if pl = c.confirm(cj, pl, engs); pl == nil {
+		return false, true
+	}
+	c.charge(cj, pl, engs)
+	return true, false
+}
 
-	// 1. Candidate search on published snapshots — no lane touched, no lane
-	// parked. Each lane's summaries are exact at its view's StateVersion.
-	views := c.laneViews()
-	var cands []topology.PodSummary
-	freeLeaves := map[int]int{}
-	for _, v := range views {
-		if v != nil {
-			cands = append(cands, v.Pods...)
-			for _, ps := range v.Pods {
-				freeLeaves[ps.Pod] = ps.FreeLeaves
-			}
+// plan is what one attempt intends to charge: a legal partition, the size it
+// carries (below the job's own for a shrunk malleable job), the lanes that
+// own its pods in ascending order, and whether it counts as a sub-pod
+// placement. versions[i] is the StateVersion of the View members[i] was read
+// at; a plan recomposed on the live engines has none.
+type plan struct {
+	p        *partition.Partition
+	size     int
+	members  []int
+	versions []uint64
+	subpod   bool
+}
+
+// errUnownedPod is compose's refusal: the partition names a pod outside every
+// cell.
+var errUnownedPod = errors.New("server: composed partition uses a pod no lane owns")
+
+// newPlan derives the member lanes and the sub-pod flag from a partition
+// composed over cands. A placement is sub-pod when whole fully-free pods
+// could not have produced it: a narrower tree width, or a chosen pod that was
+// only partially free.
+func newPlan(t *topology.FatTree, cells []shard.Cell, cands []topology.PodSummary, p *partition.Partition, size int) (*plan, error) {
+	freeLeaves := make(map[int]int, len(cands))
+	for _, ps := range cands {
+		freeLeaves[ps.Pod] = ps.FreeLeaves
+	}
+	pl := &plan{p: p, size: size, subpod: p.LT < t.LeavesPerPod}
+	member := make([]bool, len(cells))
+	for _, tr := range p.Trees {
+		li := shard.CellOf(cells, tr.Pod)
+		if li < 0 {
+			return nil, fmt.Errorf("%w: pod %d", errUnownedPod, tr.Pod)
+		}
+		member[li] = true
+		if freeLeaves[tr.Pod] < t.LeavesPerPod {
+			pl.subpod = true
 		}
 	}
-	size := cj.j.Size
-	p, err := shard.ComposeSubPod(c.s.tree, cands, size)
-	if err != nil && c.s.cfg.Elastic && cj.j.MinSize() < cj.j.Size {
-		// Malleable wide job: retry at descending whole-leaf sizes. Sub-pod
-		// composition hands out fully-free leaves, so only leaf multiples
-		// yield distinct shapes; the floor is the larger of the job's MinSize
-		// and one full leaf (ComposeSubPod's granularity floor).
-		nl := c.s.tree.NodesPerLeaf
-		floor := cj.j.MinSize()
-		if floor < nl {
-			floor = nl
+	for li, m := range member {
+		if m {
+			pl.members = append(pl.members, li)
 		}
-		for s := (cj.j.Size - 1) / nl * nl; s >= floor && err != nil; s -= nl {
-			if p, err = shard.ComposeSubPod(c.s.tree, cands, s); err == nil {
+	}
+	return pl, nil
+}
+
+// compose searches the lanes' published Views (views[i] is lane i's) for a
+// partition that fits j. Each View's pod summaries are exact at its
+// StateVersion, which the plan records for confirm. An elastic job whose full
+// size composes nothing falls to the largest whole-leaf size that does:
+// ComposeSubPod hands out fully-free leaves, so only leaf multiples give
+// distinct shapes, and the floor is the larger of the job's MinSize and one
+// leaf. Any error other than errUnownedPod means "wait for capacity".
+func compose(t *topology.FatTree, cells []shard.Cell, views []*snapshot.View, j trace.Job, elastic bool) (*plan, error) {
+	var cands []topology.PodSummary
+	for _, v := range views {
+		cands = append(cands, v.Pods...)
+	}
+	size := j.Size
+	p, err := shard.ComposeSubPod(t, cands, size)
+	if err != nil && elastic {
+		nl := t.NodesPerLeaf
+		for s := (j.Size - 1) / nl * nl; s >= max(j.MinSize(), nl) && err != nil; s -= nl {
+			if p, err = shard.ComposeSubPod(t, cands, s); err == nil {
 				size = s
 			}
 		}
 	}
 	if err != nil {
-		c.mu.Lock()
-		c.infeasible++
-		c.mu.Unlock()
-		return false, false
+		return nil, err
 	}
-
-	// Member lanes: only the cells the partition actually touches. A
-	// placement counts as sub-pod when it could not have come from the old
-	// whole-pod path: a narrower tree width, or any chosen pod that was only
-	// partially free.
-	memberSet := map[int]bool{}
-	lpp := c.s.tree.LeavesPerPod
-	subpod := p.LT < lpp
-	for _, tr := range p.Trees {
-		li := c.podLane(tr.Pod)
-		if li < 0 || views[li] == nil {
-			// Composition handed out a pod no live lane owns — a bug, not
-			// fragmentation; refuse to spin on it.
-			c.s.log.Error("cross-shard compose chose unowned pod", "job", cj.j.ID, "pod", tr.Pod)
-			c.dropHead(cj)
-			return true, false
-		}
-		memberSet[li] = true
-		if freeLeaves[tr.Pod] < lpp {
-			subpod = true
-		}
-	}
-	members := make([]int, 0, len(memberSet))
-	for li := range memberSet {
-		members = append(members, li)
-	}
-	sort.Ints(members)
-
-	// 2. Park member lanes in ascending index order.
-	engs := make([]*engine.Engine, len(members))
-	rels := make([]func(), len(members))
-	for i, li := range members {
-		eng, rel, err := c.s.lanes[li].park()
-		if err != nil {
-			for j := i - 1; j >= 0; j-- {
-				rels[j]()
-			}
-			return false, false
-		}
-		engs[i], rels[i] = eng, rel
-	}
-	defer func() {
-		for j := len(members) - 1; j >= 0; j-- {
-			rels[j]()
-		}
-	}()
-
-	c.mu.Lock()
-	if cj.state != crossWaiting { // cancelled while we were composing
-		c.mu.Unlock()
-		return true, false
-	}
-	c.mu.Unlock()
-
-	// 3. One consistent instant across the member shard clocks only.
-	var now float64
-	if c.s.cfg.VirtualClock {
-		for _, e := range engs {
-			if e.Now() > now {
-				now = e.Now()
-			}
-		}
-		if cj.j.Arrival > now {
-			now = cj.j.Arrival
-		}
-	} else {
-		now = c.s.cfg.NowFunc()
-	}
-	for _, e := range engs {
-		e.AdvanceTo(now)
-	}
-
-	// 4. Optimistic validation against the live engines. Advancing the
-	// clock may itself have started queued shard-local jobs, so this runs
-	// after the align: version fast-path first, exact resource re-check when
-	// the version moved. Any conflict releases everything and retries from
-	// a fresh snapshot read.
-	for i, li := range members {
-		if engs[i].StateVersion() == views[li].StateVersion {
-			continue
-		}
-		if !c.revalidate(engs[i].Config().Alloc.State(), p, li) {
-			return false, true
-		}
-	}
-
-	// 5. Charge every member its slice.
-	demand := engs[0].Config().Alloc.State().Capacity
-	pl := p.Placement(c.s.tree, topology.JobID(cj.j.ID), demand)
-	slices, err := shard.SplitByCell(c.s.tree, c.s.cells, pl)
+	pl, err := newPlan(t, cells, cands, p, size)
 	if err != nil {
-		c.s.log.Error("cross-shard split failed", "job", cj.j.ID, "err", err)
-		c.dropHead(cj)
-		return true, false
+		return nil, err
 	}
+	for _, li := range pl.members {
+		pl.versions = append(pl.versions, views[li].StateVersion)
+	}
+	return pl, nil
+}
 
-	c.mu.Lock()
-	if cj.state != crossWaiting { // cancelled while we were validating
-		c.mu.Unlock()
-		return true, false
-	}
-	cj.state = crossRunning
-	cj.members = members
-	c.mu.Unlock()
-
-	// Work conservation for shrunk placements: the same total work spread
-	// over fewer nodes runs proportionally longer.
-	eff := cj.eff
-	shrunk := size < cj.j.Size
-	if shrunk {
-		eff = cj.eff * float64(cj.j.Size) / float64(size)
-	}
-	for i, li := range members {
-		slice := slices[li]
-		if slice == nil {
-			// Members were derived from the same partition the split walked;
-			// a missing slice is unreachable.
-			c.s.log.Error("cross-shard slice missing", "job", cj.j.ID, "lane", li)
-			continue
+// parkAll parks the member lanes in ascending order and returns their engines
+// (indexed by lane; nil for lanes not parked) behind one release function,
+// which resumes them in descending order. A member that cannot be parked
+// releases the lower ones; higher ones are never touched.
+func parkAll(lanes []*lane, members []int) ([]*engine.Engine, func(), error) {
+	engs := make([]*engine.Engine, len(lanes))
+	rels := make([]func(), 0, len(members))
+	release := func() {
+		for i := len(rels) - 1; i >= 0; i-- {
+			rels[i]()
 		}
-		sj := cj.j
-		sj.Size = len(slice.Nodes)
-		// Slices are rigid: malleability was resolved here, and a lane engine
-		// resizing its slice independently would break the coordinated shape.
-		sj.MinNodes, sj.MaxNodes = 0, 0
-		if _, err := engs[i].StartPlaced(sj, eff, slice); err != nil {
-			// Unreachable: gateway-unique IDs, placement verified, resources
-			// revalidated under park.
+	}
+	for _, li := range members {
+		eng, rel, err := lanes[li].park()
+		if err != nil {
+			release()
+			return nil, nil, err
+		}
+		engs[li] = eng
+		rels = append(rels, rel)
+	}
+	return engs, release, nil
+}
+
+// confirm is the live check, run under park. It brings the member clocks to
+// one instant — the furthest member clock (and the job's arrival) in virtual
+// mode, the wall clock otherwise — and then returns the plan to charge: pl
+// itself when no member's state moved since its View, a plan recomposed over
+// the members' live summaries when one did, nil when they no longer hold the
+// job (the lost race).
+func (c *coordinator) confirm(cj *crossJob, pl *plan, engs []*engine.Engine) *plan {
+	now := c.s.cfg.NowFunc()
+	if c.s.cfg.VirtualClock {
+		now = cj.j.Arrival
+		for _, li := range pl.members {
+			now = max(now, engs[li].Now())
+		}
+	}
+	moved := false
+	for i, li := range pl.members {
+		// Advancing the clock can start queued shard-local jobs, so the
+		// version is read after it.
+		engs[li].AdvanceTo(now)
+		moved = moved || engs[li].StateVersion() != pl.versions[i]
+	}
+	if !moved {
+		return pl
+	}
+	var live []topology.PodSummary
+	for _, li := range pl.members {
+		live = engs[li].PodSummaries(live)
+	}
+	p, err := shard.ComposeSubPod(c.s.tree, live, pl.size)
+	if err != nil {
+		return nil
+	}
+	// Every live summary is a pod of a parked member, so newPlan cannot refuse.
+	pl, _ = newPlan(c.s.tree, c.s.cells, live, p, pl.size)
+	return pl
+}
+
+// claim is the one waiting→running transition. It fails when a cancel got
+// there first, in which case nothing may be started.
+func (c *coordinator) claim(cj *crossJob, members []int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cj.state != crossWaiting {
+		return false
+	}
+	cj.state, cj.members = crossRunning, members
+	return true
+}
+
+// charge starts the job on the confirmed plan: one slice per member engine,
+// all for the same effective runtime. The head is disposed of either way — a
+// job cancelled before the claim starts nothing.
+func (c *coordinator) charge(cj *crossJob, pl *plan, engs []*engine.Engine) {
+	demand := engs[pl.members[0]].Config().Alloc.State().Capacity
+	slices, err := shard.SplitByCell(c.s.tree, c.s.cells, pl.p.Placement(c.s.tree, topology.JobID(cj.j.ID), demand))
+	if err != nil || len(slices) != len(pl.members) {
+		// Unreachable: newPlan derived the members from the pods SplitByCell walks.
+		c.dropHead(cj, fmt.Sprintf("%d slices for %d members", len(slices), len(pl.members)), err)
+		return
+	}
+	if !c.claim(cj, pl.members) {
+		return
+	}
+	// Work conservation for a shrunk placement: the same total work on fewer
+	// nodes runs proportionally longer.
+	eff, shrunk := cj.eff, pl.size < cj.j.Size
+	if shrunk {
+		eff = cj.eff * float64(cj.j.Size) / float64(pl.size)
+	}
+	// Slices are rigid: malleability was resolved in compose, and a lane
+	// engine resizing its slice on its own would break the coordinated shape.
+	sj := cj.j
+	sj.MinNodes, sj.MaxNodes = 0, 0
+	for _, li := range pl.members {
+		sj.Size = len(slices[li].Nodes)
+		if _, err := engs[li].StartPlaced(sj, eff, slices[li]); err != nil {
+			// Unreachable: gateway-unique IDs, resources confirmed under park.
 			c.s.log.Error("cross-shard start failed", "job", cj.j.ID, "lane", li, "err", err)
 		}
 	}
-	c.mu.Lock()
-	c.placed++
-	if subpod {
-		c.subpodPlaced++
+	c.placed.Add(1)
+	if pl.subpod {
+		c.subpodPlaced.Add(1)
 	}
 	if shrunk {
-		c.shrunkPlaced++
+		c.shrunkPlaced.Add(1)
 	}
-	c.mu.Unlock()
-	c.s.log.Info("cross-shard placement", "job", cj.j.ID, "size", size,
-		"trees", len(p.Trees), "lt", p.LT, "lanes", len(members), "subpod", subpod, "shrunk", shrunk, "at", now)
-	return true, false
+	c.s.log.Info("cross-shard placement", "job", cj.j.ID, "size", pl.size, "trees", len(pl.p.Trees), "lt", pl.p.LT,
+		"lanes", len(pl.members), "subpod", pl.subpod, "shrunk", shrunk, "at", engs[pl.members[0]].Now())
 }
 
 // dropHead marks an unplaceable head cancelled so the FIFO keeps moving;
 // only reachable on internal errors that would otherwise wedge the lane.
-func (c *coordinator) dropHead(cj *crossJob) {
+func (c *coordinator) dropHead(cj *crossJob, why string, err error) {
+	c.s.log.Error("cross-shard head dropped: "+why, "job", cj.j.ID, "err", err)
 	c.mu.Lock()
 	cj.state = crossCancelled
 	c.mu.Unlock()

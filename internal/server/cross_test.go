@@ -2,18 +2,24 @@ package server
 
 // Tests for the snapshot-guided cross-shard coordinator: zero parks on
 // infeasible attempts, sub-pod placements the whole-pod path could never
-// make, event-driven wake on freed capacity, terminal status for finished
+// make, event-driven wake on freed capacity, a lost race retried from fresh
+// Views, shrunk placements of malleable jobs, terminal status for finished
 // wide jobs, and the coordinator's edge paths (cancelled heads, dropHead,
-// park-failure unwind).
+// park-failure unwind, shutdown). The attempt's steps one at a time are in
+// cross_units_test.go.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/shard"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -199,8 +205,8 @@ func TestCrossStatusTerminalMerged(t *testing.T) {
 
 // TestCrossCancelledHeadPaths covers the coordinator's cancel edges: a head
 // cancelled before the attempt is disposed of without touching any lane, a
-// head cancelled mid-composition is caught by the post-park re-check (lanes
-// parked once, then released), and dropHead turns an unplaceable head
+// head cancelled mid-attempt loses the claim in charge (lanes parked once,
+// then released, nothing started), and dropHead turns an unplaceable head
 // terminal.
 func TestCrossCancelledHeadPaths(t *testing.T) {
 	s, hs := newShardedServer(t, "Jigsaw", 4, true)
@@ -218,8 +224,8 @@ func TestCrossCancelledHeadPaths(t *testing.T) {
 	}
 
 	// Cancelled "while composing": state flips after the pre-check, so
-	// tryPlace composes, parks the members, and must catch the cancel on the
-	// post-park re-check — releasing everything without starting slices.
+	// tryPlace composes and parks the members, and the claim must catch the
+	// cancel — releasing everything without starting slices.
 	mid := &crossJob{j: trace.Job{ID: 902, Size: 40}, eff: 1, state: crossCancelled}
 	s.cross.mu.Lock()
 	s.cross.jobs[902] = mid
@@ -245,7 +251,7 @@ func TestCrossCancelledHeadPaths(t *testing.T) {
 	s.cross.mu.Lock()
 	s.cross.jobs[904] = dh
 	s.cross.mu.Unlock()
-	s.cross.dropHead(dh)
+	s.cross.dropHead(dh, "test", nil)
 	st, err := s.cross.status(904)
 	if err != nil || st.State != engine.StateCancelled {
 		t.Fatalf("dropped head status = %+v, %v", st, err)
@@ -255,42 +261,254 @@ func TestCrossCancelledHeadPaths(t *testing.T) {
 	}
 }
 
-// TestCrossParkFailureUnwind closes a member lane between snapshot capture
-// and parking: the coordinator must release the lanes it already parked in
-// reverse order and never touch higher-indexed members.
+// TestCrossParkFailureUnwind closes the middle member of a plan: parkAll must
+// release the lower lane it already holds and never touch the higher one,
+// and the attempt it belongs to must answer "wait" without a conflict. With
+// every member alive parkAll hands out exactly the members' engines.
 func TestCrossParkFailureUnwind(t *testing.T) {
-	s, hs := newShardedServer(t, "Jigsaw", 3, true)
+	s, hs := newShardedServer(t, "Jigsaw", 4, true)
 
-	// Give every lane a pod-summary-bearing published view, then kill the
-	// middle lane: its stale view still nominates its pods as candidates.
-	for _, l := range s.lanes {
-		if err := l.do(func(*engine.Engine) {}); err != nil {
-			t.Fatal(err)
+	engs, release, err := parkAll(s.lanes, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for li, e := range engs {
+		if want := li == 1 || li == 3; (e != nil) != want {
+			t.Errorf("lane %d engine handed out = %v, want %v", li, e != nil, want)
 		}
 	}
-	s.lanes[1].close()
+	release()
 
-	cj := &crossJob{j: trace.Job{ID: 910, Size: 128}, eff: 1}
-	s.cross.mu.Lock()
-	s.cross.jobs[910] = cj
-	s.cross.mu.Unlock()
-	done, conflict := s.cross.tryPlace(cj)
-	if done || conflict {
+	// A closed lane's last View still nominates its pods as candidates.
+	s.lanes[2].close()
+	if _, _, err := parkAll(s.lanes, []int{0, 2, 3}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("parkAll over a closed member: %v, want ErrClosed", err)
+	}
+	cj := registerCross(s, trace.Job{ID: 910, Size: 128})
+	if done, conflict := s.cross.tryPlace(cj); done || conflict {
 		t.Fatalf("tryPlace with a dead member = (%v, %v), want (false, false)", done, conflict)
 	}
-	if got := s.lanes[0].parks.Load(); got != 1 {
-		t.Fatalf("lane 0 parks = %d, want 1", got)
-	}
-	if got := s.lanes[2].parks.Load(); got != 0 {
-		t.Fatalf("lane 2 parked (%d) after a lower member failed — ascending order violated", got)
+	for li, want := range []int64{2, 2, 0, 1} {
+		if got := s.lanes[li].parks.Load(); got != want {
+			t.Errorf("lane %d parks = %d, want %d (ascending order, nothing above the dead member)", li, got, want)
+		}
 	}
 
-	// Lane 0 was released by the unwind and still serves traffic.
-	taken := map[int64]bool{}
-	id := idForCell(t, s, 0, 4, taken)
+	// Lane 0 was released by both unwinds and still serves traffic.
+	id := idForCell(t, s, 0, 4, map[int64]bool{})
 	resp, _ := postJob(t, hs.URL, fmt.Sprintf(`{"id":%d,"size":4,"runtime":1}`, id))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("post-unwind submit: %d", resp.StatusCode)
 	}
 	pollJob(t, hs.URL, id, "completed")
+}
+
+// fakeClock is a settable Config.NowFunc.
+type fakeClock struct {
+	mu  sync.Mutex
+	now float64
+}
+
+func (c *fakeClock) Now() float64  { c.mu.Lock(); defer c.mu.Unlock(); return c.now }
+func (c *fakeClock) Set(v float64) { c.mu.Lock(); c.now = v; c.mu.Unlock() }
+
+// TestCrossLostRaceRetriesFromFreshViews loses the race the way production
+// does: aligning the member clocks under park starts a queued shard-local job
+// that takes what the Views promised. Lane 0 runs a 4-node job until t=10
+// with a cell-filling job queued behind it, so at t=11 its View still shows
+// 28 free nodes while its engine, once advanced, has none. The attempt must
+// count one conflict, release both members, and place the job on the other
+// lanes from the Views the release published.
+func TestCrossLostRaceRetriesFromFreshViews(t *testing.T) {
+	clock := &fakeClock{}
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, NowFunc: clock.Now})
+	base := hs.URL
+
+	taken := map[int64]bool{}
+	small, filler := idForCell(t, s, 0, 4, taken), idForCell(t, s, 0, 32, taken)
+	postJob(t, base, fmt.Sprintf(`{"id":%d,"size":4,"runtime":10}`, small))
+	postJob(t, base, fmt.Sprintf(`{"id":%d,"size":32,"runtime":1000000}`, filler))
+	pollJob(t, base, small, "running")
+	pollJob(t, base, filler, "queued")
+
+	clock.Set(11) // no lane wakes: their timers run on real time
+	resp, _ := postJob(t, base, `{"id":500000,"size":40,"runtime":1000000}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("wide submit: %d", resp.StatusCode)
+	}
+	cs := pollCross(t, base, func(cs crossStatsJSON) bool { return cs.Placed == 1 })
+	// Attempt 1 parked lanes 0 and 1 and lost; attempt 2 composed around the
+	// now-full lane 0: 40 nodes on lanes 1 and 2.
+	if cs.Conflicts != 1 || cs.Attempts != 2 || cs.Infeasible != 0 || cs.Parks != 4 {
+		t.Fatalf("stats %+v, want conflicts=1 attempts=2 infeasible=0 parks=4", cs)
+	}
+	pollJob(t, base, filler, "running")
+	pollJob(t, base, small, "completed")
+	if j := pollJob(t, base, 500000, "running"); j.Size != 40 {
+		t.Fatalf("wide job coalesced size = %d, want 40", j.Size)
+	}
+	pollCluster(t, base, func(c clusterJSON) bool { return c.UsedNodes == 72 })
+	checkLanes(t, s)
+	var lane0 int
+	if err := s.lanes[0].do(func(e *engine.Engine) { lane0 = e.UsedNodes() }); err != nil || lane0 != 32 {
+		t.Fatalf("lane 0 hosts %d nodes (%v), want only the filler's 32", lane0, err)
+	}
+}
+
+// TestCrossRetryBudget loses the same race on every attempt: 16 one-pod
+// lanes each hold a cell-filling job queued behind a one-leaf job that ends at
+// t=10, and at t=11 every View still promises seven free leaves. A 72-node
+// job needs two lanes per attempt, so there are eight races to lose; place
+// must stop after its budget and leave the job waiting for the next wake.
+func TestCrossRetryBudget(t *testing.T) {
+	clock := &fakeClock{}
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(16)), Shards: 16, NowFunc: clock.Now})
+	taken := map[int64]bool{}
+	var fillers []int64
+	for ci := 0; ci < 16; ci++ {
+		postJob(t, hs.URL, fmt.Sprintf(`{"id":%d,"size":8,"runtime":10}`, idForCell(t, s, ci, 8, taken)))
+		fillers = append(fillers, idForCell(t, s, ci, 64, taken))
+		postJob(t, hs.URL, fmt.Sprintf(`{"id":%d,"size":64,"runtime":1000000}`, fillers[ci]))
+	}
+	for _, id := range fillers {
+		pollJob(t, hs.URL, id, "queued")
+	}
+	clock.Set(11)
+
+	cj := registerCross(s, trace.Job{ID: 500000, Size: 72, Runtime: 1})
+	if s.cross.place(cj) {
+		t.Fatal("place disposed of a job it could not start")
+	}
+	cs := s.cross.stats()
+	if cs.Conflicts != crossMaxValidateRetries+1 || cs.Attempts != cs.Conflicts || cs.Infeasible != 0 || cs.Placed != 0 {
+		t.Fatalf("stats %+v, want %d attempts, all of them conflicts", cs, crossMaxValidateRetries+1)
+	}
+	if got := s.laneParks(); got != 2*cs.Attempts {
+		t.Fatalf("parks = %d, want two per attempt", got)
+	}
+	if state, _ := stateOf(s.cross, cj); state != crossWaiting {
+		t.Fatalf("job state %d after an exhausted budget, want waiting", state)
+	}
+	checkLanes(t, s)
+}
+
+// TestCrossRecomposesWhenTimeFreedCapacity is the race that is not lost: the
+// clock alignment completes a job on a member lane, its version moves, and
+// the live recomposition (over more free leaves than the Views showed) places
+// the job in the same attempt.
+func TestCrossRecomposesWhenTimeFreedCapacity(t *testing.T) {
+	clock := &fakeClock{}
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, NowFunc: clock.Now})
+	base := hs.URL
+
+	small := idForCell(t, s, 0, 4, map[int64]bool{})
+	postJob(t, base, fmt.Sprintf(`{"id":%d,"size":4,"runtime":10}`, small))
+	pollJob(t, base, small, "running")
+	clock.Set(11)
+	postJob(t, base, `{"id":500000,"size":40,"runtime":1000000}`)
+	cs := pollCross(t, base, func(cs crossStatsJSON) bool { return cs.Placed == 1 })
+	if cs.Conflicts != 0 || cs.Attempts != 1 || cs.Parks != 2 || cs.SubpodPlaced != 0 {
+		t.Fatalf("stats %+v, want one attempt, no conflict, two parks, a whole-pod placement", cs)
+	}
+	pollJob(t, base, small, "completed")
+	pollCluster(t, base, func(c clusterJSON) bool { return c.UsedNodes == 40 })
+	checkLanes(t, s)
+}
+
+// TestCrossShrunkPlacement places a malleable wide job below its requested
+// size on an elastic daemon: lanes 2 and 3 are full, so 96 nodes compose
+// nothing and the job starts on the 64 that do, running 96/64 as long.
+func TestCrossShrunkPlacement(t *testing.T) {
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, Elastic: true})
+	base := hs.URL
+	taken := map[int64]bool{}
+	for _, ci := range []int{2, 3} {
+		postJob(t, base, fmt.Sprintf(`{"id":%d,"size":32,"runtime":1000000}`, idForCell(t, s, ci, 32, taken)))
+	}
+	pollCluster(t, base, func(c clusterJSON) bool { return c.UsedNodes == 64 })
+
+	resp, _ := postJob(t, base, `{"id":500000,"size":96,"runtime":100,"min_nodes":40}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("wide submit: %d", resp.StatusCode)
+	}
+	pollJob(t, base, 500000, "running")
+	var j jobJSON // decoded fresh: pollJob's reuses one across polls, and min_nodes is omitted when 0
+	getJSON(t, base+"/v1/jobs/500000", &j)
+	if j.Size != 64 || j.EffRuntime != 150 || j.MinNodes != 0 {
+		t.Fatalf("shrunk job = %+v, want size 64, eff_runtime 150, rigid slices", j)
+	}
+	var sh struct {
+		Cross struct {
+			Placed int64 `json:"placed"`
+			Shrunk int64 `json:"shrunk_placed"`
+		} `json:"cross"`
+	}
+	getJSON(t, base+"/v1/shards", &sh)
+	if sh.Cross.Placed != 1 || sh.Cross.Shrunk != 1 {
+		t.Fatalf("cross stats %+v, want placed=1 shrunk_placed=1", sh.Cross)
+	}
+	checkLanes(t, s)
+}
+
+// TestCrossRefusesUnownedPod makes compose's refusal reachable through an
+// attempt by shrinking the cell table under a quiescent server: the head is
+// dropped (reported cancelled), nothing is parked, and the FIFO moves on.
+func TestCrossRefusesUnownedPod(t *testing.T) {
+	s, _ := newShardedServer(t, "Jigsaw", 4, true)
+	s.cells = s.cells[:3]
+	cj := registerCross(s, trace.Job{ID: 920, Size: 128})
+	if done, conflict := s.cross.tryPlace(cj); !done || conflict {
+		t.Fatalf("tryPlace = (%v, %v), want the head disposed of", done, conflict)
+	}
+	if st, err := s.cross.status(920); err != nil || st.State != engine.StateCancelled {
+		t.Fatalf("refused head status = %+v, %v", st, err)
+	}
+	if got := s.laneParks(); got != 0 {
+		t.Fatalf("a refused plan parked %d lanes", got)
+	}
+}
+
+// TestCrossAfterClose pins the coordinator's answers around shutdown: close
+// is idempotent, a wide submit after it is refused and its ID answers
+// "unknown", jobs still waiting stay queued, and a running wide job whose
+// member lane is gone answers 503 rather than a partial status.
+func TestCrossAfterClose(t *testing.T) {
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, ApplySpeedups: true})
+	base := hs.URL
+	postJob(t, base, `{"id":500000,"size":96,"runtime":1000000}`) // lanes 0-2
+	if j := pollJob(t, base, 500000, "running"); j.EffRuntime != 1000000 {
+		t.Fatalf("scenario None changed the runtime: %+v", j)
+	}
+	postJob(t, base, `{"id":500001,"size":40,"runtime":10}`)
+	pollCross(t, base, func(cs crossStatsJSON) bool { return cs.Waiting == 1 && cs.Infeasible >= 1 })
+
+	s.cross.close()
+	s.cross.close()
+	attempts := s.cross.stats().Attempts
+	s.cross.placeAll() // a pass that starts after close attempts nothing
+	if got := s.cross.stats().Attempts; got != attempts {
+		t.Fatalf("placeAll after close made %d attempts", got-attempts)
+	}
+	if _, err := s.cross.submit(trace.Job{ID: 500002, Size: 40, Runtime: 1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("submit after close: %v, want ErrClosed", err)
+	}
+	if resp, _ := postJob(t, base, `{"id":500003,"size":40,"runtime":1}`); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("HTTP wide submit after close: %d", resp.StatusCode)
+	}
+	// The gateway routed 500003 to the coordinator, which never took it.
+	if code := getJSON(t, base+"/v1/jobs/500003", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("GET of a refused wide job: %d", code)
+	}
+	if code := deleteJob(t, base, 500003); code != http.StatusNotFound {
+		t.Fatalf("DELETE of a refused wide job: %d", code)
+	}
+	pollJob(t, base, 500001, "queued")
+
+	s.lanes[1].close()
+	if code := getJSON(t, base+"/v1/jobs/500000", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("GET of a wide job with a closed member lane: %d", code)
+	}
+	if code := deleteJob(t, base, 500000); code != http.StatusServiceUnavailable {
+		t.Fatalf("DELETE of a wide job with a closed member lane: %d", code)
+	}
 }

@@ -43,6 +43,8 @@ type lane struct {
 	pub     *snapshot.Publisher
 	// lastPublish / publishPending / publishCost implement the deep-backlog
 	// publish throttle; engine goroutine only. See publishAfterDrain.
+	// publishPending means a publish is owed: one the throttle deferred, or
+	// events the wall clock delivered just before an admin closure.
 	lastPublish    time.Time
 	publishPending bool
 	publishCost    time.Duration
@@ -144,9 +146,13 @@ func (l *lane) loopVirtual() {
 			}
 			continue
 		}
-		// Idle: make the fully-stepped state visible, then wait.
-		l.publishNow()
-		steps = 0
+		// Idle: make the fully-stepped state visible, then wait. A drain or an
+		// admin closure that stepped nothing afterwards has already published
+		// what it changed.
+		if steps > 0 || l.publishPending {
+			l.publishNow()
+			steps = 0
+		}
 		select {
 		case first := <-l.batcher.C():
 			buf = l.applyBatch(first, buf)
@@ -212,7 +218,9 @@ func (l *lane) loopWall() {
 			l.eng.AdvanceTo(l.nowFunc())
 			buf = l.applyBatch(first, buf)
 		case r := <-l.reqs:
-			l.eng.AdvanceTo(l.nowFunc())
+			if l.eng.AdvanceTo(l.nowFunc()) > 0 {
+				l.publishPending = true // time delivered events; runAdmin publishes them
+			}
 			l.runAdmin(r)
 		case <-wake:
 		case <-l.quit:
@@ -228,12 +236,37 @@ func (l *lane) loopWall() {
 	}
 }
 
-// runAdmin executes one engine closure, publishes the state it produced,
-// and only then releases the caller, so the response's effects are already
-// visible to snapshot readers.
+// shown is what a published View shows of an engine, as far as the engine's
+// O(1) getters can tell: every mutation a closure can make moves one of them
+// (a job changing state moves a count, a clock step moves now, any take or
+// return moves the state version).
+type shown struct {
+	now     float64
+	counts  engine.Counts
+	version uint64
+
+	active, pending, used                    int
+	failedNodes, failedLinks, failedSwitches int
+}
+
+func showing(e *engine.Engine) shown {
+	v := shown{now: e.Now(), counts: e.Counts(), version: e.StateVersion(),
+		active: e.ActiveJobs(), pending: e.PendingEvents(), used: e.UsedNodes()}
+	v.failedNodes, v.failedLinks, v.failedSwitches = e.FailedResources()
+	return v
+}
+
+// runAdmin executes one engine closure and, if it changed what a View shows
+// (or a publish is owed anyway), publishes before releasing the caller, so
+// the response's effects are already visible to snapshot readers. A closure
+// that only reads — a finished job's status lookup — publishes nothing: a
+// capture is O(active jobs) on the goroutine every writer waits for.
 func (l *lane) runAdmin(r engineReq) {
+	before := showing(l.eng)
 	r.fn(l.eng)
-	l.publishNow()
+	if l.publishPending || showing(l.eng) != before {
+		l.publishNow()
+	}
 	close(r.ran)
 }
 
@@ -388,9 +421,9 @@ func (l *lane) do(fn func(e *engine.Engine)) error {
 
 // park pins the lane's engine goroutine inside an admin closure and hands
 // the engine to the caller. The returned release function resumes the lane
-// (publishing a fresh snapshot first, so everything the caller did is
-// visible). The cross-shard coordinator parks lanes in ascending index
-// order; see DESIGN.md §16 for why that order cannot deadlock.
+// (publishing first whatever the caller changed, so it is visible). The
+// cross-shard coordinator parks lanes in ascending index order; see
+// DESIGN.md §16 for why that order cannot deadlock.
 func (l *lane) park() (*engine.Engine, func(), error) {
 	rel := make(chan struct{})
 	got := make(chan struct{})

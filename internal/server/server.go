@@ -71,7 +71,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -111,7 +110,7 @@ type Config struct {
 	// requeue for rigid jobs).
 	OnFailure engine.FailurePolicy
 	// Elastic enables the engines' malleability moves (shrink/grow/preempt
-	// and deadline admission verdicts, DESIGN.md §18) and the per-job
+	// and deadline admission verdicts, DESIGN.md §17) and the per-job
 	// elastic fields on POST /v1/jobs. Jobs that declare no elastic fields
 	// schedule exactly as on a non-elastic daemon.
 	Elastic bool
@@ -325,14 +324,16 @@ func New(cfg Config) (*Server, error) {
 		// 70.6 MB peak RSS: +25% CPU and +27-36% RSS for a map whose every
 		// value is 0.
 		s.owner = new(ownerMap)
-		// The coordinator exists before any lane loop starts so every lane
-		// can publish pod summaries from its first real snapshot on and ring
-		// the coordinator whenever a publish shows freed capacity. Its run
-		// goroutine just blocks on the wake channel until the first submit.
+		// The coordinator exists before any lane loop starts, and every lane
+		// publishes once with pod summaries turned on before its loop does:
+		// no reader can load a View without them, and every later publish
+		// that shows freed capacity rings the coordinator. Its run goroutine
+		// just blocks on the wake channel until the first submit.
 		s.cross = newCoordinator(s)
 		for _, l := range s.lanes {
 			l.pub.CapturePodSummaries()
 			l.onFree = s.cross.signalWake
+			l.publishNow()
 		}
 	}
 	for _, l := range s.lanes {
@@ -354,33 +355,29 @@ func (s *Server) Close() {
 	}
 }
 
-// view returns the read-path snapshot: the merged per-lane Views plus the
-// coordinator's waiting jobs.
-func (s *Server) view() *snapshot.View {
+// laneViews loads every lane's current View; views[i] is lane i's.
+func (s *Server) laneViews() []*snapshot.View {
 	views := make([]*snapshot.View, len(s.lanes))
 	for i, l := range s.lanes {
 		views[i] = l.pub.Load()
 	}
-	v := snapshot.Merge(views)
-	if s.cross == nil {
-		return v // the one lane's own published View: not ours to append to
-	}
-	if waiting := s.cross.waiting(); len(waiting) > 0 {
-		// Merge built a fresh View (more than one lane), so appending is safe.
-		v.Snap.Queue = append(v.Snap.Queue, waiting...)
-		sort.SliceStable(v.Snap.Queue, func(i, j int) bool {
-			a, b := v.Snap.Queue[i], v.Snap.Queue[j]
-			if a.Job.Arrival != b.Job.Arrival {
-				return a.Job.Arrival < b.Job.Arrival
-			}
-			return a.Job.ID < b.Job.ID
-		})
-		v.Snap.QueueDepth = len(v.Snap.Queue)
-		for _, st := range waiting {
-			v.Jobs[st.Job.ID] = st
+	return views
+}
+
+// view returns the read-path snapshot: the merged per-lane Views, with the
+// coordinator's waiting jobs merged in as one more shard that has only a
+// queue (so they sort into the cluster-wide queue by Merge's own order).
+func (s *Server) view() *snapshot.View {
+	views := s.laneViews()
+	if s.cross != nil {
+		if waiting := s.cross.waiting(); len(waiting) > 0 {
+			views = append(views, &snapshot.View{
+				PublishedAt: views[0].PublishedAt, // not older than the oldest lane
+				Snap:        engine.Snapshot{Queue: waiting},
+			})
 		}
 	}
-	return v
+	return snapshot.Merge(views)
 }
 
 func isOverloaded(err error) bool { return errors.Is(err, ingest.ErrOverloaded) }

@@ -81,14 +81,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var inLen, inCap int
 	lat := make([]*latencyHist, len(s.lanes))
 	qw := make([]*latencyHist, len(s.lanes))
-	laneViews := make([]*snapshot.View, len(s.lanes))
 	for i, l := range s.lanes {
 		inAccepted += l.batcher.Accepted()
 		inRejected += l.batcher.Rejected()
 		inLen += l.batcher.Len()
 		inCap += l.batcher.Cap()
 		lat[i], qw[i] = l.latency, l.queueWait
-		laneViews[i] = l.pub.Load()
 	}
 	mw := newMetricsWriter()
 	c := v.Snap.Counts
@@ -130,7 +128,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"Time a scheduling request waits in the ingest queue before the engine goroutine starts executing it.")
 	s.httpStats.write(mw, "jigsawd_http_requests_total")
 	if s.cross != nil {
-		s.writeShardMetrics(mw, laneViews)
+		s.writeShardMetrics(mw, s.laneViews())
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, mw.String())

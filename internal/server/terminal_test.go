@@ -107,7 +107,9 @@ func TestTerminalIDContract(t *testing.T) {
 			mustContain(do(t, "POST", hs.URL+"/v1/recover", `{"kind":"node","node":0}`), `200 `)
 			mustContain(submit(116, 4, 10, ""), `"state":"running"`)
 			setNow(30)
-			if err := wall.lanes[0].do(func(*engine.Engine) {}); err != nil { // wake the lane to the new time
+			// Wake the lane to the new time: the closure changes nothing, the
+			// completion of 116 that time delivers is what gets published.
+			if err := wall.lanes[0].do(func(*engine.Engine) {}); err != nil {
 				t.Fatal(err)
 			}
 

@@ -6,7 +6,7 @@ package shard
 // per-pod free summaries the lanes publish with their RCU snapshots
 // (topology.PodSummary), so the whole search runs on read-side data — no
 // engine is held while it runs, and an infeasible answer costs nothing but
-// this function call (DESIGN.md §17).
+// this function call (DESIGN.md §16).
 //
 // Shape searched: for LT from LeavesPerPod down to 1, pack the job's
 // size/NL full leaves into T = floor/LT full trees of LT leaves each, plus

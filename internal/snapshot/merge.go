@@ -21,16 +21,17 @@ import (
 // utilization figures are node-weighted by each shard's TotalNodes.
 //
 // Cross-shard jobs appear once per member shard with per-slice sizes; the
-// merged queue/running/Jobs views coalesce same-ID entries back into one
-// job (sizes summed, earliest start, latest end), so readers see the whole
-// job. Per-shard Counts still count each slice — a cross-shard job adds one
+// merged running list coalesces same-ID entries back into one job (sizes
+// summed, earliest start, latest end), so readers see the whole job.
+// Per-shard Counts still count each slice — a cross-shard job adds one
 // "submitted"/"started" per member shard — which the /v1/shards endpoint
-// exposes raw; DESIGN.md §16 discusses the tradeoff.
+// exposes raw; DESIGN.md §16 discusses the tradeoff. The merged View has no
+// Jobs index: point reads consult the owning lane's own View.
 func Merge(views []*View) *View {
 	if len(views) == 1 {
 		return views[0]
 	}
-	m := &View{Jobs: map[int64]engine.JobStatus{}}
+	m := &View{}
 	var utilNowW, utilSteadyW, nodes float64
 	for i, v := range views {
 		m.Seq += v.Seq
@@ -82,12 +83,6 @@ func Merge(views []*View) *View {
 	m.Snap.Running = coalesceRunning(m.Snap.Running)
 	m.Snap.QueueDepth = len(m.Snap.Queue)
 	m.Snap.RunningJobs = len(m.Snap.Running)
-	for _, st := range m.Snap.Queue {
-		m.Jobs[st.Job.ID] = st
-	}
-	for _, st := range m.Snap.Running {
-		m.Jobs[st.Job.ID] = st
-	}
 	return m
 }
 

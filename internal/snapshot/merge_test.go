@@ -2,8 +2,8 @@ package snapshot_test
 
 // Unit coverage for the sharded daemon's View merging: counter/occupancy
 // sums, node-weighted utilization, conservative staleness, cross-shard slice
-// coalescing in the running list and in point lookups, and the pod-summary
-// capture opt-in.
+// coalescing in the running list and in point lookups (MergeStatuses), and
+// the pod-summary capture opt-in.
 
 import (
 	"testing"
@@ -107,12 +107,11 @@ func TestMergeSumsCountersAndCoalescesSlices(t *testing.T) {
 	if j7.Job.ID != 7 || j7.Job.Size != 8 || j7.Start != 2 || j7.End != 12 {
 		t.Fatalf("coalesced slice %+v, want size 8 start 2 end 12", j7)
 	}
-	// The Jobs index serves the coalesced entries.
-	if got := m.Jobs[7]; got.Job.Size != 8 {
-		t.Fatalf("Jobs[7] %+v, want the coalesced job", got)
-	}
-	if _, ok := m.Jobs[9]; !ok {
-		t.Fatal("Jobs index missing queued job 9")
+	// The coalesced job 7 and the queued job 9 are read from the lists above;
+	// the merged View builds no Jobs index (point reads consult the owning
+	// lane's own View).
+	if m.Jobs != nil {
+		t.Fatalf("merged View built a Jobs index of %d entries nobody reads", len(m.Jobs))
 	}
 }
 

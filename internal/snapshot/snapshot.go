@@ -42,7 +42,8 @@ type View struct {
 
 	// Jobs indexes the active (queued or running) jobs by ID for point
 	// reads. Terminal jobs are not here; the server falls back to the
-	// engine for those.
+	// engine for those. Per-lane only: Merge leaves it nil, since a point
+	// read goes to the owning lane's own View.
 	Jobs map[int64]engine.JobStatus
 
 	// Pods holds the per-pod free-capacity summaries (cell-range pods only)
@@ -70,10 +71,11 @@ type Publisher struct {
 }
 
 // CapturePodSummaries makes every subsequent Publish include View.Pods.
-// Call it once, before the engine goroutine starts publishing (the sharded
-// server does, between lane construction and loop start); the initial
-// Seq-0 View predates the call and carries no summaries, which readers must
-// treat as "not captured yet", not "no free pods".
+// Call it once, before the engine goroutine starts publishing, and Publish
+// right after it: the Seq-0 View that NewPublisher built predates the call
+// and carries no summaries. The sharded server does both between lane
+// construction and loop start, so none of its readers ever loads a View
+// without them.
 func (p *Publisher) CapturePodSummaries() { p.pods = true }
 
 // NewPublisher starts with an empty published View (Seq 0) built from the

@@ -6,7 +6,7 @@ package topology
 // are completely untouched, and which spine uplinks still carry full
 // residual per L2 group — into a few machine words, so a snapshot publish
 // can carry the whole cell's state and a candidate search can run without
-// touching any engine (internal/server's coordinator, DESIGN.md §17).
+// touching any engine (internal/server's coordinator, DESIGN.md §16).
 //
 // The summaries are exact at capture time (they read the same incremental
 // indices the allocators use), and deliberately coarse: a leaf that is
