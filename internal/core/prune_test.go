@@ -57,15 +57,15 @@ func buildFuzzState(t *testing.T, fd *byteFeed) (*topology.State, int32) {
 	for j, n := 0, fd.next()%5; j < n; j++ {
 		switch fd.next() % 5 {
 		case 0:
-			_ = st.FailNode(topology.NodeID(fd.next() % tree.Nodes()))
+			_ = topology.NodeFailure(topology.NodeID(fd.next() % tree.Nodes())).Apply(st)
 		case 1:
-			_ = st.FailLeafUplink(fd.next()%tree.Leaves(), fd.next()%tree.L2PerPod)
+			_ = topology.LeafUplinkFailure(fd.next()%tree.Leaves(), fd.next()%tree.L2PerPod).Apply(st)
 		case 2:
-			_ = st.FailSpineUplink(fd.next()%tree.Pods, fd.next()%tree.L2PerPod, fd.next()%tree.SpinesPerGroup)
+			_ = topology.SpineUplinkFailure(fd.next()%tree.Pods, fd.next()%tree.L2PerPod, fd.next()%tree.SpinesPerGroup).Apply(st)
 		case 3:
-			_ = st.FailLeafSwitch(fd.next() % tree.Leaves())
+			_ = topology.LeafSwitchFailure(fd.next() % tree.Leaves()).Apply(st)
 		case 4:
-			_ = st.FailL2Switch(fd.next()%tree.Pods, fd.next()%tree.L2PerPod)
+			_ = topology.L2SwitchFailure(fd.next()%tree.Pods, fd.next()%tree.L2PerPod).Apply(st)
 		}
 	}
 

@@ -264,7 +264,7 @@ func (e *Engine) admit(it *jobItem) {
 		// capacity, so the job is queued and held like its rigid twin
 		// (scheduleQueue) instead of being refused.
 		it.verdict = VerdictRejected
-		if len(e.failed) > 0 {
+		if e.Degraded() {
 			it.verdict = VerdictAtRisk
 		}
 		return

@@ -408,12 +408,6 @@ type Engine struct {
 	// feasMin is the monotone-mode threshold; maxInt means "nothing failed".
 	feasMin int
 
-	// failed holds the active failure specs injected via Fail (nil until
-	// the first failure — a healthy engine carries no failure bookkeeping);
-	// failedSwitches counts the switch-kind entries for the metrics.
-	failed         map[topology.Failure]struct{}
-	failedSwitches int
-
 	// lastUtil is the current step of the used-node series (the last
 	// UtilSeries point when history is kept); haveUtil is false until the
 	// first one.
@@ -642,14 +636,14 @@ type FailReport struct {
 // The failure is then applied to the live state through the sentinel-owner
 // take path (topology/failure.go), so no later placement can touch the
 // failed resources; the scheduler immediately reconsiders the queue on
-// whatever capacity survives. Duplicate injections of an active spec are
-// rejected.
+// whatever capacity survives. The state owns the set of active specs: a spec
+// may overlap active ones in any way, only repeating one is rejected.
 func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
-	tree := e.cfg.Alloc.Tree()
+	tree, st := e.cfg.Alloc.Tree(), e.cfg.Alloc.State()
 	if err := f.Validate(tree); err != nil {
 		return FailReport{}, err
 	}
-	if _, dup := e.failed[f]; dup {
+	if st.FailureActive(f) {
 		return FailReport{}, fmt.Errorf("engine: %v already failed", f)
 	}
 
@@ -700,23 +694,16 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 	}
 
 	// With every intersecting holder released the failure's resources are
-	// free, so the sentinel take cannot be blocked by a job; it can only be
-	// rejected for overlapping an earlier failure of the same component.
-	if err := f.Apply(e.cfg.Alloc.State()); err != nil {
+	// free, so the sentinel take cannot be blocked by a job; it is refused
+	// only for a spec that takes nothing down in this engine's cell.
+	if err := f.Apply(st); err != nil {
 		if len(affected) > 0 {
 			// Released jobs for a failure that then refused to apply —
-			// Intersects and Apply disagree, which is a bug, not an input
-			// error.
+			// Intersects and Apply disagree (TestComponentsAgreeWithCovers
+			// pins that they do not), which is a bug, not an input error.
 			panic(fmt.Sprintf("engine: failure %v released %d jobs but did not apply: %v", f, len(affected), err))
 		}
 		return FailReport{}, err
-	}
-	if e.failed == nil {
-		e.failed = map[topology.Failure]struct{}{}
-	}
-	e.failed[f] = struct{}{}
-	if f.Kind == topology.FailureLeafSwitch || f.Kind == topology.FailureL2Switch || f.Kind == topology.FailureSpineSwitch {
-		e.failedSwitches++
 	}
 
 	// Re-place shrinkable jobs on the surviving fabric, in job-ID order
@@ -741,21 +728,18 @@ func (e *Engine) Fail(f topology.Failure) (FailReport, error) {
 	return rep, nil
 }
 
-// Recover returns a previously-injected failure's resources to service and
-// immediately offers the recovered capacity to the queue. Only specs that
-// are active (injected by Fail and not yet recovered) are accepted; when
-// overlapping switch and component failures were injected, recover them in
-// reverse injection order (topology/failure.go documents the overlap rules).
+// Recover makes an active failure spec (injected by Fail and not yet
+// recovered) inactive and immediately offers the recovered capacity to the
+// queue. Overlapping specs are recovered in any order: a component returns to
+// service when the last active spec covering it is recovered
+// (topology/failure.go).
 func (e *Engine) Recover(f topology.Failure) error {
-	if _, ok := e.failed[f]; !ok {
+	st := e.cfg.Alloc.State()
+	if !st.FailureActive(f) {
 		return fmt.Errorf("engine: %v is not an active failure", f)
 	}
-	if err := f.Revert(e.cfg.Alloc.State()); err != nil {
+	if err := f.Revert(st); err != nil {
 		return err
-	}
-	delete(e.failed, f)
-	if f.Kind == topology.FailureLeafSwitch || f.Kind == topology.FailureL2Switch || f.Kind == topology.FailureSpineSwitch {
-		e.failedSwitches--
 	}
 	e.releaseEpoch++
 	e.cancelEpoch++
@@ -765,16 +749,13 @@ func (e *Engine) Recover(f topology.Failure) error {
 }
 
 // Degraded reports whether any injected failure is still active.
-func (e *Engine) Degraded() bool { return len(e.failed) > 0 }
+func (e *Engine) Degraded() bool { return e.cfg.Alloc.State().Degraded() }
 
 // FailedResources returns the current counts of failed nodes, links, and
 // switch-level failure specs.
 func (e *Engine) FailedResources() (nodes, links, switches int) {
-	if e.failed == nil {
-		return 0, 0, 0
-	}
 	st := e.cfg.Alloc.State()
-	return st.FailedNodes(), st.FailedLinks(), e.failedSwitches
+	return st.FailedNodes(), st.FailedLinks(), st.FailedSwitches()
 }
 
 // Step advances the clock to the next pending event timestamp, delivers
@@ -832,12 +813,7 @@ func (e *Engine) Snapshot() Snapshot {
 		PendingEvents: e.events.Len(),
 		Counts:        e.counts,
 	}
-	if e.failed != nil {
-		st := e.cfg.Alloc.State()
-		s.FailedNodes = st.FailedNodes()
-		s.FailedLinks = st.FailedLinks()
-		s.FailedSwitches = e.failedSwitches
-	}
+	s.FailedNodes, s.FailedLinks, s.FailedSwitches = e.FailedResources()
 	s.Queue = make([]JobStatus, 0, len(e.queue))
 	for _, it := range e.queue {
 		s.Queue = append(s.Queue, it.status())
@@ -1097,7 +1073,7 @@ func (e *Engine) scheduleQueue(now float64) {
 			e.resvShadow, e.resvSnap, e.resvOK = shadow, snap, ok
 		}
 		if !ok {
-			if len(e.failed) > 0 {
+			if e.Degraded() {
 				// The head does not fit even on a drained machine — but the
 				// machine is degraded, and recovery may restore enough
 				// capacity. Hold the job instead of rejecting it (backfill

@@ -17,18 +17,26 @@ import (
 	"repro/internal/trace"
 )
 
-// chaosSpecs is a pool of pairwise non-overlapping failures (no two touch
-// the same node or uplink), so every Fail on an inactive spec and every
-// Recover on an active one must succeed. Laid out for a radix-8 tree:
-// 4 leaves/pod, 4 nodes/leaf, 4 L2s/pod, 4 spines/group.
+// chaosSpecs is the pool the chaos layers (this test, the malleability chaos
+// test and FuzzShrinkGrow) draw failures from. The specs overlap on purpose —
+// a node inside a failed leaf switch, a spine uplink inside a failed L2
+// switch, an L2 switch and a spine switch sharing an uplink, an L2 switch
+// crossing a leaf switch and a leaf uplink — because the overlap rule
+// (topology/failure.go) makes every Fail of an inactive spec and every
+// Recover of an active one succeed whatever else is active, in any order.
+// Laid out for a radix-8 tree: 4 leaves/pod, 4 nodes/leaf, 4 L2s/pod,
+// 4 spines/group.
 var chaosSpecs = []topology.Failure{
 	topology.LeafSwitchFailure(0),        // nodes 0-3, leaf uplinks (0,*)
+	topology.NodeFailure(2),              // inside leaf switch 0
 	topology.NodeFailure(4),              // leaf 1
 	topology.NodeFailure(13),             // leaf 3
 	topology.LeafUplinkFailure(2, 1),     // leaf 2 -> L2 1
 	topology.SpineUplinkFailure(1, 0, 2), // pod 1, L2 0
 	topology.L2SwitchFailure(2, 3),       // pod 2: leaf uplinks (*,3), spine uplinks (2,3,*)
+	topology.SpineUplinkFailure(2, 3, 1), // inside L2 switch 2/3
 	topology.SpineSwitchFailure(1, 1),    // spine uplinks (*,1,1)
+	topology.L2SwitchFailure(0, 1),       // pod 0: shares (0,1,1) with spine switch 1/1, (0,1) with leaf switch 0, and covers leaf uplink (2,1)
 }
 
 func TestFailureChaosProperty(t *testing.T) {
@@ -78,7 +86,7 @@ func runFailureChaos(t *testing.T, seed int64) {
 			eng.Step()
 		case 7: // let time pass
 			eng.AdvanceTo(eng.Now() + rng.Float64()*15)
-		case 8: // fail an inactive spec; disjointness makes success mandatory
+		case 8: // fail an inactive spec; the overlap rule makes success mandatory
 			i := rng.Intn(len(chaosSpecs))
 			if active[i] {
 				break

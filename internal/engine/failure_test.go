@@ -166,6 +166,101 @@ func TestFailRecoverErrors(t *testing.T) {
 	}
 }
 
+// TestOverlappingFailuresRecoverInAnyOrder pins the one overlap rule at the
+// engine: two specs that share a component are both accepted in either
+// injection order; recovering one leaves exactly what the other takes down
+// failed (the shared component included), the engine degraded and the shared
+// component unallocatable; recovering the other then succeeds and the state
+// is pristine. Before the active set moved into topology.State, recovering a
+// leaf switch healed a node that had failed on its own, after which the node
+// could be neither recovered nor failed again and Degraded() stayed true.
+func TestOverlappingFailuresRecoverInAnyOrder(t *testing.T) {
+	tree := topology.MustNew(8)
+	type shared struct{ nodes, links int }
+	for _, pair := range []struct {
+		a, b   topology.Failure
+		isDown func(st *topology.State) bool // the component both cover
+	}{
+		{topology.NodeFailure(5), topology.LeafSwitchFailure(1),
+			func(st *topology.State) bool { return st.NodeFailed(5) && st.Owner(5) == topology.FailedOwner }},
+		{topology.L2SwitchFailure(0, 1), topology.SpineSwitchFailure(1, 2),
+			func(st *topology.State) bool {
+				return st.SpineUplinkFailed(0, 1, 2) && st.SpineUpResidual(0, 1, 2) == 0
+			}},
+	} {
+		alone := map[topology.Failure]shared{}
+		for _, f := range []topology.Failure{pair.a, pair.b} {
+			st := topology.NewState(tree, 1)
+			if err := f.Apply(st); err != nil {
+				t.Fatal(err)
+			}
+			alone[f] = shared{st.FailedNodes(), st.FailedLinks()}
+		}
+		for _, order := range [][4]topology.Failure{
+			{pair.a, pair.b, pair.b, pair.a}, // the stuck state at the parent for (node, leaf-switch)
+			{pair.a, pair.b, pair.a, pair.b},
+			{pair.b, pair.a, pair.b, pair.a}, // second Fail refused at the parent for (node, leaf-switch)
+			{pair.b, pair.a, pair.a, pair.b},
+		} {
+			eng := newFailEngine(t, tree, engine.FailRequeue)
+			st := eng.Config().Alloc.State()
+			for _, f := range order[:2] {
+				if _, err := eng.Fail(f); err != nil {
+					t.Fatalf("inject %v: fail %v: %v", order[:2], f, err)
+				}
+			}
+			first, last := order[2], order[3]
+			if err := eng.Recover(first); err != nil {
+				t.Fatalf("inject %v: recover %v: %v", order[:2], first, err)
+			}
+			nodes, links, _ := eng.FailedResources()
+			if want := alone[last]; nodes != want.nodes || links != want.links || !pair.isDown(st) || !eng.Degraded() {
+				t.Fatalf("inject %v, recovered %v: %d nodes %d links failed, want %+v; shared component down=%v degraded=%v",
+					order[:2], first, nodes, links, want, pair.isDown(st), eng.Degraded())
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			// A whole-machine job needs the shared component: held, not
+			// rejected and not started, until the last spec is recovered.
+			if err := eng.Submit(trace.Job{ID: 1, Size: tree.Nodes(), Arrival: eng.Now(), Runtime: 10}); err != nil {
+				t.Fatal(err)
+			}
+			eng.Step()
+			if js, _ := eng.Status(1); js.State != engine.StateQueued || !pair.isDown(st) {
+				t.Fatalf("inject %v, recovered %v: whole-machine job %v, shared component down=%v", order[:2], first, js.State, pair.isDown(st))
+			}
+			if _, err := eng.Fail(last); err == nil {
+				t.Fatalf("active spec %v failed twice", last)
+			}
+			if err := eng.Recover(last); err != nil {
+				t.Fatalf("inject %v: recover %v after %v: %v", order[:2], last, first, err)
+			}
+			if js, _ := eng.Status(1); js.State != engine.StateRunning {
+				t.Fatalf("whole-machine job %v on the healed fabric", js.State)
+			}
+			for {
+				if _, ok := eng.Step(); !ok {
+					break
+				}
+			}
+			nodes, links, switches := eng.FailedResources()
+			if eng.Degraded() || nodes+links+switches != 0 || st.ActiveFailures() != nil || st.FreeNodes() != tree.Nodes() {
+				t.Fatalf("inject %v, recover %v: not pristine: degraded=%v failed=%d/%d/%d active=%v",
+					order[:2], order[2:], eng.Degraded(), nodes, links, switches, st.ActiveFailures())
+			}
+			for pod := 0; pod < tree.Pods; pod++ {
+				if !st.FullyFreePod(pod) {
+					t.Fatalf("pod %d not fully free after recovering %v", pod, order[2:])
+				}
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestFailurePolicyParse(t *testing.T) {
 	for _, p := range []engine.FailurePolicy{engine.FailRequeue, engine.FailKill, engine.FailShrink} {
 		got, err := engine.ParseFailurePolicy(p.String())

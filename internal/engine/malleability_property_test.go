@@ -122,7 +122,7 @@ func runMalleabilityChaos(t *testing.T, policy string, seed int64) int64 {
 			eng.Step()
 		case 8: // let time pass
 			eng.AdvanceTo(eng.Now() + rng.Float64()*15)
-		case 9: // fail an inactive spec; disjointness makes success mandatory
+		case 9: // fail an inactive spec; the overlap rule makes success mandatory
 			i := rng.Intn(len(chaosSpecs))
 			if active[i] {
 				break

@@ -9,7 +9,8 @@
 //
 //	<time> fail|recover <kind> <args...>
 //
-// where <kind> <args...> is the spec syntax of topology.Failure.String:
+// where <kind> <args...> is the spec syntax of topology.Failure.String and
+// topology.ParseFailure, which own the kinds and their arguments:
 //
 //	100 fail node 17
 //	100 fail leaf-uplink 5 2
@@ -50,51 +51,6 @@ func (e Event) String() string {
 	return fmt.Sprintf("%g %s %s", e.Time, verb, e.F)
 }
 
-// ParseSpec parses a failure spec in String syntax: a kind followed by its
-// integer arguments ("node 17", "spine-uplink 2 0 3", ...).
-func ParseSpec(fields []string) (topology.Failure, error) {
-	if len(fields) == 0 {
-		return topology.Failure{}, fmt.Errorf("failtrace: empty failure spec")
-	}
-	kind, err := topology.ParseFailureKind(fields[0])
-	if err != nil {
-		return topology.Failure{}, fmt.Errorf("failtrace: %w", err)
-	}
-	args := make([]int, len(fields)-1)
-	for i, f := range fields[1:] {
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			return topology.Failure{}, fmt.Errorf("failtrace: bad argument %q for %s", f, kind)
-		}
-		args[i] = v
-	}
-	want := map[topology.FailureKind]int{
-		topology.FailureNode:        1,
-		topology.FailureLeafUplink:  2,
-		topology.FailureSpineUplink: 3,
-		topology.FailureLeafSwitch:  1,
-		topology.FailureL2Switch:    2,
-		topology.FailureSpineSwitch: 2,
-	}[kind]
-	if len(args) != want {
-		return topology.Failure{}, fmt.Errorf("failtrace: %s takes %d arguments, got %d", kind, want, len(args))
-	}
-	switch kind {
-	case topology.FailureNode:
-		return topology.NodeFailure(topology.NodeID(args[0])), nil
-	case topology.FailureLeafUplink:
-		return topology.LeafUplinkFailure(args[0], args[1]), nil
-	case topology.FailureSpineUplink:
-		return topology.SpineUplinkFailure(args[0], args[1], args[2]), nil
-	case topology.FailureLeafSwitch:
-		return topology.LeafSwitchFailure(args[0]), nil
-	case topology.FailureL2Switch:
-		return topology.L2SwitchFailure(args[0], args[1]), nil
-	default:
-		return topology.SpineSwitchFailure(args[0], args[1]), nil
-	}
-}
-
 // Parse reads a fail trace. Events must be in non-decreasing time order so
 // replay is a single forward pass.
 func Parse(r io.Reader) ([]Event, error) {
@@ -126,9 +82,9 @@ func Parse(r io.Reader) ([]Event, error) {
 		default:
 			return nil, fmt.Errorf("failtrace: line %d: unknown verb %q (want fail or recover)", lineNo, fields[1])
 		}
-		f, err := ParseSpec(fields[2:])
+		f, err := topology.ParseFailure(fields[2], fields[3:])
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("failtrace: line %d: %w", lineNo, err)
 		}
 		if n := len(events); n > 0 && t < events[n-1].Time {
 			return nil, fmt.Errorf("failtrace: line %d: time %g before previous event at %g", lineNo, t, events[n-1].Time)
@@ -158,8 +114,8 @@ func ParseFile(path string) ([]Event, error) {
 // Stats aggregates what a replay did to the engine.
 type Stats struct {
 	Failures, Recoveries int
-	// Affected, Requeued, and Killed sum the per-failure reports.
-	Affected, Requeued, Killed int
+	// Affected, Requeued, Killed, and Shrunk sum the per-failure reports.
+	Affected, Requeued, Killed, Shrunk int
 }
 
 // Replay advances the engine to each event's time and applies it,
@@ -186,6 +142,7 @@ func Replay(eng *engine.Engine, events []Event) (Stats, error) {
 		st.Affected += rep.Affected
 		st.Requeued += rep.Requeued
 		st.Killed += rep.Killed
+		st.Shrunk += rep.Shrunk
 	}
 	return st, nil
 }

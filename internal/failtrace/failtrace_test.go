@@ -106,3 +106,55 @@ func TestReplay(t *testing.T) {
 		t.Fatal("recover of a never-failed spec accepted")
 	}
 }
+
+// TestReplayOverlappingSpecs replays the trace that aborted a -fail-trace run
+// while the engine kept its own copy of the active set: a node fails, the
+// leaf switch above it fails and recovers, and the node — still failed, by
+// the overlap rule — recovers last.
+func TestReplayOverlappingSpecs(t *testing.T) {
+	tree := topology.MustNew(8)
+	eng, err := engine.New(engine.Config{Alloc: core.NewAllocator(tree), Window: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := Parse(strings.NewReader("10 fail node 5\n20 fail leaf-switch 1\n30 recover leaf-switch 1\n40 recover node 5\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Replay(eng, events[:3])
+	if err != nil || st.Failures != 2 || st.Recoveries != 1 {
+		t.Fatalf("first three events: %+v, %v", st, err)
+	}
+	if state := eng.Config().Alloc.State(); !state.NodeFailed(5) || !eng.Degraded() {
+		t.Fatalf("after the leaf switch recovered: node 5 failed=%v degraded=%v", state.NodeFailed(5), eng.Degraded())
+	}
+	if st, err = Replay(eng, events[3:]); err != nil || st.Recoveries != 1 {
+		t.Fatalf("recover node 5: %+v, %v", st, err)
+	}
+	if eng.Degraded() {
+		t.Fatal("engine degraded after the trace recovered everything")
+	}
+	if err := eng.Config().Alloc.State().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplaySumsShrunk: a malleable whole-machine job re-placed on the
+// surviving fabric is reported under Shrunk, which Stats used to drop.
+func TestReplaySumsShrunk(t *testing.T) {
+	tree := topology.MustNew(8)
+	eng, err := engine.New(engine.Config{Alloc: core.NewAllocator(tree), Window: 10, Elastic: true, OnFailure: engine.FailShrink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit(trace.Job{ID: 1, Size: tree.Nodes(), Arrival: 0, Runtime: 100, MinNodes: 4}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Replay(eng, []Event{{Time: 5, F: topology.LeafSwitchFailure(0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{Failures: 1, Affected: 1, Shrunk: 1}); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}

@@ -156,13 +156,13 @@ func degrade(t *testing.T, s *topology.State, feed *byteFeed) bool {
 		var err error
 		switch feed.next() % 4 {
 		case 0:
-			err = s.FailNode(topology.NodeID(feed.next() % tr.Nodes()))
+			err = topology.NodeFailure(topology.NodeID(feed.next() % tr.Nodes())).Apply(s)
 		case 1:
-			err = s.FailLeafUplink(feed.next()%tr.Leaves(), feed.next()%tr.L2PerPod)
+			err = topology.LeafUplinkFailure(feed.next()%tr.Leaves(), feed.next()%tr.L2PerPod).Apply(s)
 		case 2:
-			err = s.FailSpineUplink(feed.next()%tr.Pods, feed.next()%tr.L2PerPod, feed.next()%tr.SpinesPerGroup)
+			err = topology.SpineUplinkFailure(feed.next()%tr.Pods, feed.next()%tr.L2PerPod, feed.next()%tr.SpinesPerGroup).Apply(s)
 		case 3:
-			err = s.FailLeafSwitch(feed.next() % tr.Leaves())
+			err = topology.LeafSwitchFailure(feed.next() % tr.Leaves()).Apply(s)
 		}
 		if err == nil {
 			degraded = true

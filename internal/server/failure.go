@@ -17,8 +17,9 @@ import (
 	"repro/internal/topology"
 )
 
-// failRequest is the POST /v1/fail and /v1/recover body. Kind selects the
-// resource; the other fields identify it:
+// decodeFailure reads the POST /v1/fail and /v1/recover body, a failure spec
+// in topology.Failure's wire form: "kind" plus the fields identifying one
+// instance of it.
 //
 //	{"kind":"node","node":5}
 //	{"kind":"leaf-uplink","leaf":3,"l2":1}
@@ -26,75 +27,19 @@ import (
 //	{"kind":"leaf-switch","leaf":2}
 //	{"kind":"l2-switch","pod":0,"l2":1}
 //	{"kind":"spine-switch","group":1,"spine":2}
-type failRequest struct {
-	Kind  string `json:"kind"`
-	Node  int32  `json:"node"`
-	Leaf  int    `json:"leaf"`
-	Pod   int    `json:"pod"`
-	L2    int    `json:"l2"`
-	Group int    `json:"group"`
-	Spine int    `json:"spine"`
-}
-
-// failure converts the wire form to a topology.Failure spec.
-func (r failRequest) failure() (topology.Failure, error) {
-	kind, err := topology.ParseFailureKind(r.Kind)
-	if err != nil {
-		return topology.Failure{}, err
-	}
-	switch kind {
-	case topology.FailureNode:
-		return topology.NodeFailure(topology.NodeID(r.Node)), nil
-	case topology.FailureLeafUplink:
-		return topology.LeafUplinkFailure(r.Leaf, r.L2), nil
-	case topology.FailureSpineUplink:
-		return topology.SpineUplinkFailure(r.Pod, r.L2, r.Spine), nil
-	case topology.FailureLeafSwitch:
-		return topology.LeafSwitchFailure(r.Leaf), nil
-	case topology.FailureL2Switch:
-		return topology.L2SwitchFailure(r.Pod, r.L2), nil
-	default:
-		return topology.SpineSwitchFailure(r.Group, r.Spine), nil
-	}
-}
-
-func decodeFailure(w http.ResponseWriter, r *http.Request) (topology.Failure, bool) {
-	var req failRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+func decodeFailure(w http.ResponseWriter, r *http.Request) (f topology.Failure, ok bool) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&f); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid body: %v", err)
-		return topology.Failure{}, false
-	}
-	f, err := req.failure()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return topology.Failure{}, false
+		return f, false
 	}
 	return f, true
 }
 
-// failurePod maps a single-pod failure domain to its pod, or -1 for
-// spine-switch failures, which span every pod (each spine serves one L2
-// position of all pods) and must be applied to every lane.
-func (s *Server) failurePod(f topology.Failure) int {
-	switch f.Kind {
-	case topology.FailureNode:
-		return int(f.Node) / s.tree.NodesPerLeaf / s.tree.LeavesPerPod
-	case topology.FailureLeafUplink, topology.FailureLeafSwitch:
-		return f.Leaf / s.tree.LeavesPerPod
-	case topology.FailureSpineUplink, topology.FailureL2Switch:
-		return f.Pod
-	default:
-		return -1
-	}
-}
-
 // failureLanes returns the lanes a failure touches: the lane owning its pod,
-// or every lane for a spine-switch failure.
+// or every lane for a failure domain that spans all pods (a spine switch).
 func (s *Server) failureLanes(f topology.Failure) []*lane {
-	pod := s.failurePod(f)
-	if pod < 0 {
+	pod, ok := f.PodOf(s.tree)
+	if !ok {
 		return s.lanes
 	}
 	ci := shard.CellOf(s.cells, pod)
@@ -108,7 +53,8 @@ func (s *Server) failureLanes(f topology.Failure) []*lane {
 
 // handleFail applies the failure to the lanes it touches in ascending order,
 // reverting the already-applied lanes if a later one refuses, so the fabric
-// is never left partially failed.
+// is never left partially failed. The revert is a plain Recover: by the
+// overlap rule it returns only what no other active failure covers.
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 	f, ok := decodeFailure(w, r)
 	if !ok {

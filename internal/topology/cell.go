@@ -51,7 +51,7 @@ func (s *State) RestrictToPods(lo, hi int) {
 	if lo < 0 || hi > s.Tree.Pods || lo >= hi {
 		panic(fmt.Sprintf("topology: cell [%d, %d) outside pods [0, %d)", lo, hi, s.Tree.Pods))
 	}
-	if s.version != 0 || s.freeTotal != s.Tree.Nodes() || s.txnActive || s.failedNodes != 0 {
+	if s.version != 0 || s.freeTotal != s.Tree.Nodes() || s.txnActive || s.Degraded() {
 		panic("topology: RestrictToPods on a non-pristine state")
 	}
 	if lo == 0 && hi == s.Tree.Pods {

@@ -96,8 +96,8 @@ func TestSpineSwitchFailureScopedToCell(t *testing.T) {
 	s := NewState(tree, 1)
 	s.RestrictToPods(2, 5)
 
-	if err := s.FailSpineSwitch(1, 2); err != nil {
-		t.Fatalf("FailSpineSwitch on restricted state: %v", err)
+	if err := SpineSwitchFailure(1, 2).Apply(s); err != nil {
+		t.Fatalf("spine-switch failure on a restricted state: %v", err)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after scoped failure: %v", err)
@@ -105,11 +105,22 @@ func TestSpineSwitchFailureScopedToCell(t *testing.T) {
 	if got, want := s.FailedLinks(), 3; got != want { // one uplink per in-cell pod
 		t.Fatalf("FailedLinks = %d, want %d", got, want)
 	}
-	if err := s.RecoverSpineSwitch(1, 2); err != nil {
-		t.Fatalf("RecoverSpineSwitch: %v", err)
+	if !s.SpineUplinkFailed(2, 1, 2) || s.SpineUplinkFailed(0, 1, 2) || s.SpineUplinkFailed(5, 1, 2) {
+		t.Fatal("the spine switch's uplinks read as failed outside the cell, or not inside it")
+	}
+	if err := SpineSwitchFailure(1, 2).Revert(s); err != nil {
+		t.Fatalf("spine-switch recovery: %v", err)
 	}
 	if s.FailedLinks() != 0 {
 		t.Fatalf("FailedLinks = %d after recovery", s.FailedLinks())
+	}
+	// A pod-local spec outside the cell belongs to another shard: refused,
+	// nothing recorded, nothing taken.
+	v := s.Version()
+	for _, f := range []Failure{NodeFailure(0), LeafSwitchFailure(tree.LeafIndex(6, 0)), L2SwitchFailure(5, 1)} {
+		if err := f.Apply(s); err == nil || s.Degraded() || s.Version() != v {
+			t.Fatalf("%v outside cell [2, 5): err=%v degraded=%v", f, err, s.Degraded())
+		}
 	}
 	for pod := 2; pod < 5; pod++ {
 		if !s.FullyFreePod(pod) {
@@ -131,8 +142,8 @@ func TestRestrictedCloneKeepsCell(t *testing.T) {
 	if lo, hi := c.CellRange(); lo != 1 || hi != 3 {
 		t.Fatalf("clone CellRange = [%d, %d), want [1, 3)", lo, hi)
 	}
-	if err := c.FailSpineSwitch(0, 0); err != nil {
-		t.Fatalf("clone FailSpineSwitch: %v", err)
+	if err := SpineSwitchFailure(0, 0).Apply(c); err != nil {
+		t.Fatalf("spine-switch failure on the clone: %v", err)
 	}
 	if got, want := c.FailedLinks(), 2; got != want {
 		t.Fatalf("clone FailedLinks = %d, want %d", got, want)

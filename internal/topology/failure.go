@@ -1,658 +1,400 @@
 package topology
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"slices"
+	"strconv"
+)
 
-// Failure model. A failed resource is encoded with the same machinery as an
-// allocated one: failed nodes are owned by the distinguished sentinel
-// FailedOwner, and failed links have their full residual consumed on behalf
-// of the failure. Fail and Recover therefore run through the ordinary
-// take/return mutators — O(changed entries), availability indices updated
-// incrementally, the version counter bumped (invalidating feasibility
-// memos), and the whole failure set copied by Clone. Allocators need no
-// special cases: a failed node never appears in a free mask and a failed
-// link never carries residual, so every placement search skips them the way
-// it skips busy resources.
+// Failure model: one kind table, one component enumerator, one overlap rule.
 //
-// Fail and Recover are deliberately barred inside Begin/Rollback
-// transactions: failures are ground-truth machine events, not what-if
-// hypotheses, and keeping them out of the journal keeps the journal's four
-// entry kinds exhaustive.
+// kindTable says how each of the six failure domains is spelled and
+// identified; components lists the primitive resources (nodes, leaf uplinks,
+// spine uplinks) a Failure spec takes down inside the state's cell, and covers
+// is the matching membership test. The State owns the list of active specs,
+// and one rule relates it to the fabric: a component is failed iff an active
+// spec covers it. Apply takes the components no active spec has failed
+// already, all or nothing; Revert returns the ones no remaining spec covers.
+// Specs may overlap freely and be recovered in any order; once all are
+// recovered the state is pristine.
 //
-// A resource can only fail while unallocated (nodes free, links at full
-// residual). Failing hardware out from under a running job is the engine's
-// business: internal/engine's Fail event first releases every job whose
-// placement intersects the failure (requeueing or killing it per policy) and
-// then applies the failure here, at which point the resources are free.
+// A failed component is held the way an allocated one is (a node by the
+// sentinel owner FailedOwner, a link by consuming its full residual) through
+// the ordinary take/return mutators, so the indices, the version counter,
+// Clone and every allocator need no special case. A component can fail only
+// while no job holds it: engine.Fail first releases every job whose placement
+// Intersects the spec. Apply and Revert are barred inside a transaction:
+// failures are ground truth, not what-if hypotheses, and stay out of the
+// undo journal.
 
-// FailedOwner is the sentinel JobID owning every failed node. Real jobs use
-// positive IDs; zero means free.
+// FailedOwner is the sentinel JobID owning every failed node (real jobs are
+// positive, zero is free).
 const FailedOwner JobID = -1
 
-// FailureKind enumerates the failure domains of a three-level fat-tree.
+// FailureKind enumerates the failure domains of a three-level fat-tree: three
+// primitive components, then the three switches made of them.
 type FailureKind uint8
 
 const (
-	// FailureNode is a single compute node.
-	FailureNode FailureKind = iota
-	// FailureLeafUplink is one leaf->L2 link.
-	FailureLeafUplink
-	// FailureSpineUplink is one L2->spine link.
-	FailureSpineUplink
-	// FailureLeafSwitch is a whole leaf switch: its nodes are unreachable
-	// and every uplink is down.
-	FailureLeafSwitch
-	// FailureL2Switch is a whole L2 switch of a pod: the leaf uplinks into
-	// it and its spine uplinks are down.
-	FailureL2Switch
-	// FailureSpineSwitch is a whole spine switch of a group: its per-pod
-	// uplinks are down in every pod.
-	FailureSpineSwitch
+	FailureNode        FailureKind = iota // one compute node
+	FailureLeafUplink                     // one leaf->L2 link
+	FailureSpineUplink                    // one L2->spine link
+	FailureLeafSwitch                     // a leaf switch: its nodes and all its uplinks
+	FailureL2Switch                       // an L2 switch of a pod: the leaf uplinks into it, its spine uplinks
+	FailureSpineSwitch                    // a spine switch of a group: its uplink in every pod
+	numKinds
 )
 
-// String returns the wire name used by the HTTP API and fail-trace files.
-func (k FailureKind) String() string {
-	switch k {
-	case FailureNode:
-		return "node"
-	case FailureLeafUplink:
-		return "leaf-uplink"
-	case FailureSpineUplink:
-		return "spine-uplink"
-	case FailureLeafSwitch:
-		return "leaf-switch"
-	case FailureL2Switch:
-		return "l2-switch"
-	case FailureSpineSwitch:
-		return "spine-switch"
-	}
-	return fmt.Sprintf("kind(%d)", int(k))
+// field indexes the six integers that can identify a failure; fieldNames,
+// Failure.vals and Validate's bounds are all in this order.
+type field uint8
+
+const (
+	fNode field = iota
+	fLeaf
+	fPod
+	fL2
+	fGroup // the L2 index the spine group hangs off
+	fSpine
+	numFields
+	everyPod = numFields // kindTable.pod of a kind that spans all pods
+)
+
+var fieldNames = [numFields]string{"node", "leaf", "pod", "l2", "group", "spine"}
+
+type kindRow struct {
+	name     string
+	ids      []field
+	isSwitch bool
+	pod      field
 }
+
+// kindTable is the one description of the six failure domains: the wire name
+// (HTTP API and fail-trace files), the fields identifying an instance in
+// spec-argument order, whether it is a whole switch, and the field locating
+// its pod. Names, parsing, printing, validation, JSON decoding and lane
+// routing are read off it; a new domain is one row here plus its arm in
+// components and in covers.
+var kindTable = [numKinds]kindRow{
+	FailureNode:        {"node", []field{fNode}, false, fNode},
+	FailureLeafUplink:  {"leaf-uplink", []field{fLeaf, fL2}, false, fLeaf},
+	FailureSpineUplink: {"spine-uplink", []field{fPod, fL2, fSpine}, false, fPod},
+	FailureLeafSwitch:  {"leaf-switch", []field{fLeaf}, true, fLeaf},
+	FailureL2Switch:    {"l2-switch", []field{fPod, fL2}, true, fPod},
+	FailureSpineSwitch: {"spine-switch", []field{fGroup, fSpine}, true, everyPod},
+}
+
+// row is the kind's table row; an unknown kind identifies nothing.
+func (k FailureKind) row() *kindRow {
+	if k >= numKinds {
+		return &kindRow{name: fmt.Sprintf("kind(%d)", int(k))}
+	}
+	return &kindTable[k]
+}
+
+// String returns the kind's wire name.
+func (k FailureKind) String() string { return k.row().name }
 
 // ParseFailureKind inverts FailureKind.String.
 func ParseFailureKind(s string) (FailureKind, error) {
-	switch s {
-	case "node":
-		return FailureNode, nil
-	case "leaf-uplink":
-		return FailureLeafUplink, nil
-	case "spine-uplink":
-		return FailureSpineUplink, nil
-	case "leaf-switch":
-		return FailureLeafSwitch, nil
-	case "l2-switch":
-		return FailureL2Switch, nil
-	case "spine-switch":
-		return FailureSpineSwitch, nil
+	for k, row := range kindTable {
+		if row.name == s {
+			return FailureKind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("topology: unknown failure kind %q", s)
 }
 
-// Failure identifies one failable resource. Which fields are meaningful
-// depends on Kind:
-//
-//	FailureNode:        Node
-//	FailureLeafUplink:  Leaf (global leaf index), L2
-//	FailureSpineUplink: Pod, L2, Spine
-//	FailureLeafSwitch:  Leaf (global leaf index)
-//	FailureL2Switch:    Pod, L2
-//	FailureSpineSwitch: Group (== the L2 index the group hangs off), Spine
+// Failure is a failure spec: a kind and the integers identifying one instance
+// of it. Only the kind's identifying fields (kindTable) mean anything; the
+// constructors and decoders leave the rest zero and the State ignores them.
 type Failure struct {
-	Kind  FailureKind
-	Node  NodeID
-	Leaf  int
-	Pod   int
-	L2    int
-	Group int
-	Spine int
+	Kind                        FailureKind
+	Node                        NodeID
+	Leaf, Pod, L2, Group, Spine int
 }
 
-// Convenience constructors for the six failure domains.
+// Constructors for the six failure domains, identifiers in kindTable order.
+func NodeFailure(n NodeID) Failure               { return spec(FailureNode, int(n)) }
+func LeafUplinkFailure(leaf, l2 int) Failure     { return spec(FailureLeafUplink, leaf, l2) }
+func SpineUplinkFailure(pod, l2, sp int) Failure { return spec(FailureSpineUplink, pod, l2, sp) }
+func LeafSwitchFailure(leaf int) Failure         { return spec(FailureLeafSwitch, leaf) }
+func L2SwitchFailure(pod, l2 int) Failure        { return spec(FailureL2Switch, pod, l2) }
+func SpineSwitchFailure(group, sp int) Failure   { return spec(FailureSpineSwitch, group, sp) }
 
-func NodeFailure(n NodeID) Failure { return Failure{Kind: FailureNode, Node: n} }
-func LeafUplinkFailure(leaf, l2 int) Failure {
-	return Failure{Kind: FailureLeafUplink, Leaf: leaf, L2: l2}
-}
-func SpineUplinkFailure(pod, l2, spine int) Failure {
-	return Failure{Kind: FailureSpineUplink, Pod: pod, L2: l2, Spine: spine}
-}
-func LeafSwitchFailure(leaf int) Failure { return Failure{Kind: FailureLeafSwitch, Leaf: leaf} }
-func L2SwitchFailure(pod, l2 int) Failure {
-	return Failure{Kind: FailureL2Switch, Pod: pod, L2: l2}
-}
-func SpineSwitchFailure(group, spine int) Failure {
-	return Failure{Kind: FailureSpineSwitch, Group: group, Spine: spine}
-}
-
-// String renders the failure in the fail-trace file syntax.
-func (f Failure) String() string {
-	switch f.Kind {
-	case FailureNode:
-		return fmt.Sprintf("node %d", f.Node)
-	case FailureLeafUplink:
-		return fmt.Sprintf("leaf-uplink %d %d", f.Leaf, f.L2)
-	case FailureSpineUplink:
-		return fmt.Sprintf("spine-uplink %d %d %d", f.Pod, f.L2, f.Spine)
-	case FailureLeafSwitch:
-		return fmt.Sprintf("leaf-switch %d", f.Leaf)
-	case FailureL2Switch:
-		return fmt.Sprintf("l2-switch %d %d", f.Pod, f.L2)
-	case FailureSpineSwitch:
-		return fmt.Sprintf("spine-switch %d %d", f.Group, f.Spine)
+// spec builds the kind's canonical Failure (every other field zero) from its
+// identifiers in kindTable order, and ids is its inverse.
+func spec(k FailureKind, ids ...int) Failure {
+	var v [numFields]int
+	for i, fd := range k.row().ids {
+		v[fd] = ids[i]
 	}
-	return f.Kind.String()
+	return Failure{k, NodeID(v[fNode]), v[fLeaf], v[fPod], v[fL2], v[fGroup], v[fSpine]}
 }
 
-// Validate bounds-checks the failure against the tree's geometry.
+func (f Failure) vals() [numFields]int {
+	return [numFields]int{int(f.Node), f.Leaf, f.Pod, f.L2, f.Group, f.Spine}
+}
+
+func (f Failure) ids() (ids []int) {
+	for _, fd := range f.Kind.row().ids {
+		ids = append(ids, f.vals()[fd])
+	}
+	return ids
+}
+
+// canonical zeroes the non-identifying fields, so equal specs are equal values.
+func (f Failure) canonical() Failure { return spec(f.Kind, f.ids()...) }
+
+// String renders the spec in the fail-trace file syntax, "<kind> <ids...>".
+func (f Failure) String() string {
+	s := f.Kind.String()
+	for _, v := range f.ids() {
+		s += " " + strconv.Itoa(v)
+	}
+	return s
+}
+
+// ParseFailure inverts Failure.String over whitespace-split fields: a kind
+// and its integer identifiers ("node" "17"; "spine-uplink" "2" "0" "3").
+func ParseFailure(kind string, args []string) (Failure, error) {
+	k, err := ParseFailureKind(kind)
+	if err != nil {
+		return Failure{}, err
+	}
+	if want := len(k.row().ids); len(args) != want {
+		return Failure{}, fmt.Errorf("topology: %s takes %d arguments, got %d", k, want, len(args))
+	}
+	ids := make([]int, len(args))
+	for i, a := range args {
+		n, err := strconv.ParseInt(a, 10, 32)
+		if err != nil {
+			return Failure{}, fmt.Errorf("topology: bad argument %q for %s", a, k)
+		}
+		ids[i] = int(n)
+	}
+	return spec(k, ids...), nil
+}
+
+// UnmarshalJSON decodes the HTTP wire form {"kind":"<kind>","<field>":n,...};
+// the keys are the Go field names in lower case, as in fieldNames. Unknown
+// keys are rejected; fields that do not identify the kind are dropped.
+func (f *Failure) UnmarshalJSON(b []byte) error {
+	var w struct {
+		Kind                        string
+		Node                        NodeID
+		Leaf, Pod, L2, Group, Spine int
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return err
+	}
+	k, err := ParseFailureKind(w.Kind)
+	if err != nil {
+		return err
+	}
+	*f = Failure{k, w.Node, w.Leaf, w.Pod, w.L2, w.Group, w.Spine}.canonical()
+	return nil
+}
+
+// Validate bounds-checks the spec's identifying fields against the tree.
 func (f Failure) Validate(t *FatTree) error {
-	switch f.Kind {
-	case FailureNode:
-		if f.Node < 0 || int(f.Node) >= t.Nodes() {
-			return fmt.Errorf("topology: node %d outside [0, %d)", f.Node, t.Nodes())
-		}
-	case FailureLeafUplink:
-		if f.Leaf < 0 || f.Leaf >= t.Leaves() || f.L2 < 0 || f.L2 >= t.L2PerPod {
-			return fmt.Errorf("topology: leaf uplink %d/%d outside geometry", f.Leaf, f.L2)
-		}
-	case FailureSpineUplink:
-		if f.Pod < 0 || f.Pod >= t.Pods || f.L2 < 0 || f.L2 >= t.L2PerPod || f.Spine < 0 || f.Spine >= t.SpinesPerGroup {
-			return fmt.Errorf("topology: spine uplink %d/%d/%d outside geometry", f.Pod, f.L2, f.Spine)
-		}
-	case FailureLeafSwitch:
-		if f.Leaf < 0 || f.Leaf >= t.Leaves() {
-			return fmt.Errorf("topology: leaf switch %d outside [0, %d)", f.Leaf, t.Leaves())
-		}
-	case FailureL2Switch:
-		if f.Pod < 0 || f.Pod >= t.Pods || f.L2 < 0 || f.L2 >= t.L2PerPod {
-			return fmt.Errorf("topology: L2 switch %d/%d outside geometry", f.Pod, f.L2)
-		}
-	case FailureSpineSwitch:
-		if f.Group < 0 || f.Group >= t.L2PerPod || f.Spine < 0 || f.Spine >= t.SpinesPerGroup {
-			return fmt.Errorf("topology: spine switch %d/%d outside geometry", f.Group, f.Spine)
-		}
-	default:
+	if f.Kind >= numKinds {
 		return fmt.Errorf("topology: unknown failure kind %d", f.Kind)
+	}
+	bounds := [numFields]int{t.Nodes(), t.Leaves(), t.Pods, t.L2PerPod, t.L2PerPod, t.SpinesPerGroup}
+	for _, fd := range f.Kind.row().ids {
+		if v := f.vals()[fd]; v < 0 || v >= bounds[fd] {
+			return fmt.Errorf("topology: %v: %s outside [0, %d)", f, fieldNames[fd], bounds[fd])
+		}
 	}
 	return nil
 }
 
-// Apply injects the failure into the state (dispatching to the matching
-// Fail* method) and Revert recovers it.
-func (f Failure) Apply(s *State) error {
-	switch f.Kind {
-	case FailureNode:
-		return s.FailNode(f.Node)
-	case FailureLeafUplink:
-		return s.FailLeafUplink(f.Leaf, f.L2)
-	case FailureSpineUplink:
-		return s.FailSpineUplink(f.Pod, f.L2, f.Spine)
-	case FailureLeafSwitch:
-		return s.FailLeafSwitch(f.Leaf)
-	case FailureL2Switch:
-		return s.FailL2Switch(f.Pod, f.L2)
-	case FailureSpineSwitch:
-		return s.FailSpineSwitch(f.Group, f.Spine)
+// PodOf returns the pod the failure domain lives in; ok is false for a kind
+// that spans every pod (a spine switch serves one L2 position of all pods).
+func (f Failure) PodOf(t *FatTree) (pod int, ok bool) {
+	fd := f.Kind.row().pod
+	if fd == everyPod {
+		return 0, false
 	}
-	return fmt.Errorf("topology: unknown failure kind %d", f.Kind)
+	perPod := [...]int{fNode: t.PodNodes(), fLeaf: t.LeavesPerPod, fPod: 1}
+	return f.vals()[fd] / perPod[fd], true
 }
 
-// Revert recovers the failure (dispatching to the matching Recover* method).
-func (f Failure) Revert(s *State) error {
-	switch f.Kind {
-	case FailureNode:
-		return s.RecoverNode(f.Node)
-	case FailureLeafUplink:
-		return s.RecoverLeafUplink(f.Leaf, f.L2)
-	case FailureSpineUplink:
-		return s.RecoverSpineUplink(f.Pod, f.L2, f.Spine)
-	case FailureLeafSwitch:
-		return s.RecoverLeafSwitch(f.Leaf)
-	case FailureL2Switch:
-		return s.RecoverL2Switch(f.Pod, f.L2)
-	case FailureSpineSwitch:
-		return s.RecoverSpineSwitch(f.Group, f.Spine)
+// components lists what the spec takes down in this state as primitive specs
+// (a primitive is its own only component), clipped to the state's cell: other
+// shards apply their own slice of a cell-spanning failure. f is canonical.
+func (s *State) components(f Failure) []Failure {
+	t := s.Tree
+	lo, hi := s.CellRange()
+	var out []Failure
+	add := func(c Failure) {
+		if pod, _ := c.PodOf(t); pod >= lo && pod < hi {
+			out = append(out, c)
+		}
 	}
-	return fmt.Errorf("topology: unknown failure kind %d", f.Kind)
+	switch f.Kind {
+	case FailureLeafSwitch:
+		for slot := 0; slot < t.NodesPerLeaf; slot++ {
+			add(NodeFailure(NodeID(f.Leaf*t.NodesPerLeaf + slot)))
+		}
+		for i := 0; i < t.L2PerPod; i++ {
+			add(LeafUplinkFailure(f.Leaf, i))
+		}
+	case FailureL2Switch:
+		for l := 0; l < t.LeavesPerPod; l++ {
+			add(LeafUplinkFailure(t.LeafIndex(f.Pod, l), f.L2))
+		}
+		for sp := 0; sp < t.SpinesPerGroup; sp++ {
+			add(SpineUplinkFailure(f.Pod, f.L2, sp))
+		}
+	case FailureSpineSwitch:
+		for pod := lo; pod < hi; pod++ {
+			add(SpineUplinkFailure(pod, f.Group, f.Spine))
+		}
+	default:
+		add(f)
+	}
+	return out
+}
+
+// covers reports whether the spec takes the primitive component c down,
+// anywhere in the tree. f and c must be canonical.
+func (f Failure) covers(t *FatTree, c Failure) bool {
+	switch f.Kind {
+	case FailureLeafSwitch:
+		return c.Kind == FailureNode && t.NodeLeaf(c.Node) == f.Leaf ||
+			c.Kind == FailureLeafUplink && c.Leaf == f.Leaf
+	case FailureL2Switch:
+		return c.Kind == FailureLeafUplink && t.LeafPod(c.Leaf) == f.Pod && c.L2 == f.L2 ||
+			c.Kind == FailureSpineUplink && c.Pod == f.Pod && c.L2 == f.L2
+	case FailureSpineSwitch:
+		return c.Kind == FailureSpineUplink && c.L2 == f.Group && c.Spine == f.Spine
+	}
+	return f == c
 }
 
 // Intersects reports whether the placement touches any resource the failure
-// takes down. Placements of running jobs hold concrete node IDs; pending
-// entries (never applied) are resolved by leaf, which is exact for the
-// leaf-granular kinds and conservative for FailureNode (a pending entry
-// could land anywhere on its leaf, so it counts as intersecting a failed
-// node on that leaf).
+// takes down. A pending node entry (never applied) could land on any slot of
+// its leaf, so it counts as touching the failure if any node of the leaf does.
 func (f Failure) Intersects(t *FatTree, p *Placement) bool {
-	switch f.Kind {
-	case FailureNode:
-		failedLeaf := int(f.Node) / t.NodesPerLeaf
-		for _, n := range p.Nodes {
-			if n == f.Node {
-				return true
-			}
-			if l, ok := pendingLeaf(n); ok && l == failedLeaf {
+	f = f.canonical()
+	return slices.ContainsFunc(p.Nodes, func(n NodeID) bool {
+		end := n + 1
+		if leaf, ok := pendingLeaf(n); ok {
+			n = NodeID(leaf * t.NodesPerLeaf)
+			end = n + NodeID(t.NodesPerLeaf)
+		}
+		for ; n < end; n++ {
+			if f.covers(t, NodeFailure(n)) {
 				return true
 			}
 		}
-	case FailureLeafUplink:
-		for _, u := range p.LeafUps {
-			if int(u.Leaf) == f.Leaf && int(u.L2) == f.L2 {
-				return true
-			}
+		return false
+	}) || slices.ContainsFunc(p.LeafUps, func(u LeafUpRef) bool {
+		return f.covers(t, LeafUplinkFailure(int(u.Leaf), int(u.L2)))
+	}) || slices.ContainsFunc(p.SpineUps, func(u SpineUpRef) bool {
+		return f.covers(t, SpineUplinkFailure(int(u.Pod), int(u.L2), int(u.Spine)))
+	})
+}
+
+// Apply makes the spec active and takes every component of it that no active
+// spec has failed already, all or nothing: if a job holds one of them nothing
+// changes. Overlapping an active spec is fine; repeating one is refused.
+func (f Failure) Apply(s *State) error {
+	if err := f.Validate(s.Tree); err != nil {
+		return err
+	}
+	f = f.canonical()
+	comps := s.components(f)
+	switch {
+	case s.txnActive:
+		return fmt.Errorf("topology: %v: fail inside an active transaction", f)
+	case s.FailureActive(f):
+		return fmt.Errorf("topology: %v: already failed", f)
+	case len(comps) == 0:
+		return fmt.Errorf("topology: %v: outside this state's cell", f)
+	}
+	for _, c := range comps {
+		if !s.failed(c) && !s.free(c) {
+			return fmt.Errorf("topology: %v: %v in use", f, c)
 		}
-	case FailureSpineUplink:
-		for _, u := range p.SpineUps {
-			if int(u.Pod) == f.Pod && int(u.L2) == f.L2 && int(u.Spine) == f.Spine {
-				return true
-			}
+	}
+	for _, c := range comps {
+		if !s.failed(c) {
+			s.hold(c, +1)
 		}
-	case FailureLeafSwitch:
-		for _, n := range p.Nodes {
-			leaf := int(n) / t.NodesPerLeaf
-			if l, ok := pendingLeaf(n); ok {
-				leaf = l
-			}
-			if leaf == f.Leaf {
-				return true
-			}
+	}
+	s.failures = append(s.failures, f)
+	return nil
+}
+
+// Revert makes an active spec inactive and returns to service every
+// component of it that no remaining active spec covers.
+func (f Failure) Revert(s *State) error {
+	f = f.canonical()
+	switch {
+	case s.txnActive:
+		return fmt.Errorf("topology: %v: recover inside an active transaction", f)
+	case !s.FailureActive(f):
+		return fmt.Errorf("topology: %v: not failed", f)
+	}
+	s.failures = slices.DeleteFunc(s.failures, func(a Failure) bool { return a == f })
+	if len(s.failures) == 0 {
+		s.failures = nil
+	}
+	for _, c := range s.components(f) {
+		if !s.failed(c) {
+			s.hold(c, -1)
 		}
-		for _, u := range p.LeafUps {
-			if int(u.Leaf) == f.Leaf {
-				return true
-			}
-		}
-	case FailureL2Switch:
-		for _, u := range p.LeafUps {
-			if int(u.L2) == f.L2 && t.LeafPod(int(u.Leaf)) == f.Pod {
-				return true
-			}
-		}
-		for _, u := range p.SpineUps {
-			if int(u.Pod) == f.Pod && int(u.L2) == f.L2 {
-				return true
-			}
-		}
-	case FailureSpineSwitch:
-		for _, u := range p.SpineUps {
-			if int(u.L2) == f.Group && int(u.Spine) == f.Spine {
-				return true
-			}
+	}
+	return nil
+}
+
+// failed is the overlap rule: a primitive component is failed in this state
+// iff an active spec covers it and it lies in the state's cell.
+func (s *State) failed(c Failure) bool {
+	for _, a := range s.failures {
+		if a.covers(s.Tree, c) {
+			pod, _ := c.PodOf(s.Tree)
+			lo, hi := s.CellRange()
+			return pod >= lo && pod < hi
 		}
 	}
 	return false
 }
 
-// failErr wraps the common precondition failures with the resource name.
-func failErr(what string, err string) error {
-	return fmt.Errorf("topology: %s %s", what, err)
+// free reports whether nothing holds any share of the component.
+func (s *State) free(c Failure) bool {
+	switch c.Kind {
+	case FailureNode:
+		return s.nodeOwner[c.Node] == 0
+	case FailureLeafUplink:
+		return s.LeafUpResidual(c.Leaf, c.L2) == s.Capacity
+	}
+	return s.SpineUpResidual(c.Pod, c.L2, c.Spine) == s.Capacity
 }
 
-// failGuard rejects fail/recover calls inside a transaction (failures are
-// ground truth, never what-if hypotheses; see the package comment above).
-func (s *State) failGuard() error {
-	if s.txnActive {
-		return fmt.Errorf("topology: fail/recover inside an active transaction")
+// hold hands a free component to the failure (n = +1) or a failed one back
+// to service (n = -1) through the ordinary take/return mutators.
+func (s *State) hold(c Failure, n int) {
+	s.failedCount[c.Kind] += n
+	switch {
+	case n > 0 && c.Kind == FailureNode:
+		s.retakeNode(c.Node, FailedOwner)
+	case n > 0 && c.Kind == FailureLeafUplink:
+		s.takeLeafUp(c.Leaf, c.L2, s.Capacity)
+	case n > 0:
+		s.takeSpineUp(c.Pod, c.L2, c.Spine, s.Capacity)
+	case c.Kind == FailureNode:
+		s.returnNode(c.Node)
+	case c.Kind == FailureLeafUplink:
+		s.returnLeafUp(c.Leaf, c.L2, s.Capacity)
+	default:
+		s.returnSpineUp(c.Pod, c.L2, c.Spine, s.Capacity)
 	}
-	return nil
-}
-
-// ensureFailFlags lazily allocates the per-link failed flags; pristine
-// states carry no failure bookkeeping at all.
-func (s *State) ensureFailFlags() {
-	if s.failedLeafUp == nil {
-		s.failedLeafUp = make([]bool, len(s.leafUp))
-		s.failedSpineUp = make([]bool, len(s.spineUp))
-	}
-}
-
-// NodeFailed reports whether node n is failed.
-func (s *State) NodeFailed(n NodeID) bool { return s.nodeOwner[n] == FailedOwner }
-
-// LeafUplinkFailed reports whether the uplink (leaf -> L2 i) is failed.
-func (s *State) LeafUplinkFailed(leafIdx, i int) bool {
-	return s.failedLeafUp != nil && s.failedLeafUp[leafIdx*s.Tree.L2PerPod+i]
-}
-
-// SpineUplinkFailed reports whether the uplink (pod, L2 -> spine sp) is failed.
-func (s *State) SpineUplinkFailed(pod, l2, sp int) bool {
-	return s.failedSpineUp != nil && s.failedSpineUp[(pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup+sp]
-}
-
-// FailedNodes returns the number of currently-failed nodes.
-func (s *State) FailedNodes() int { return s.failedNodes }
-
-// FailedLeafUplinks returns the number of currently-failed leaf uplinks.
-func (s *State) FailedLeafUplinks() int { return s.failedLeafUps }
-
-// FailedSpineUplinks returns the number of currently-failed spine uplinks.
-func (s *State) FailedSpineUplinks() int { return s.failedSpineUps }
-
-// FailedLinks returns the total number of currently-failed links.
-func (s *State) FailedLinks() int { return s.failedLeafUps + s.failedSpineUps }
-
-// Degraded reports whether any node or link is currently failed.
-func (s *State) Degraded() bool {
-	return s.failedNodes > 0 || s.failedLeafUps > 0 || s.failedSpineUps > 0
-}
-
-// FailNode marks a free node failed: it becomes owned by FailedOwner through
-// the ordinary take path, so every index and the version counter update as
-// for an allocation. Fails if the node is out of range, already failed, or
-// owned by a job (release the job first; internal/engine's Fail event does).
-func (s *State) FailNode(n NodeID) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if n < 0 || int(n) >= len(s.nodeOwner) {
-		return failErr(fmt.Sprintf("node %d", n), "out of range")
-	}
-	switch o := s.nodeOwner[n]; {
-	case o == FailedOwner:
-		return failErr(fmt.Sprintf("node %d", n), "already failed")
-	case o != 0:
-		return failErr(fmt.Sprintf("node %d", n), fmt.Sprintf("owned by job %d", o))
-	}
-	s.retakeNode(n, FailedOwner)
-	s.failedNodes++
-	return nil
-}
-
-// RecoverNode returns a failed node to service.
-func (s *State) RecoverNode(n NodeID) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if n < 0 || int(n) >= len(s.nodeOwner) {
-		return failErr(fmt.Sprintf("node %d", n), "out of range")
-	}
-	if s.nodeOwner[n] != FailedOwner {
-		return failErr(fmt.Sprintf("node %d", n), "not failed")
-	}
-	s.returnNode(n)
-	s.failedNodes--
-	return nil
-}
-
-// FailLeafUplink marks the uplink (leaf -> L2 i) failed by consuming its
-// full residual on behalf of the failure. Fails if the link is already
-// failed or any share of it is held by a job.
-func (s *State) FailLeafUplink(leafIdx, i int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if leafIdx < 0 || leafIdx >= s.Tree.Leaves() || i < 0 || i >= s.Tree.L2PerPod {
-		return failErr(fmt.Sprintf("leaf uplink %d/%d", leafIdx, i), "out of range")
-	}
-	idx := leafIdx*s.Tree.L2PerPod + i
-	if s.failedLeafUp != nil && s.failedLeafUp[idx] {
-		return failErr(fmt.Sprintf("leaf uplink %d/%d", leafIdx, i), "already failed")
-	}
-	if s.leafUp[idx] != s.Capacity {
-		return failErr(fmt.Sprintf("leaf uplink %d/%d", leafIdx, i), "in use")
-	}
-	s.ensureFailFlags()
-	s.takeLeafUp(leafIdx, i, s.Capacity)
-	s.failedLeafUp[idx] = true
-	s.failedLeafUps++
-	return nil
-}
-
-// RecoverLeafUplink returns a failed leaf uplink to service.
-func (s *State) RecoverLeafUplink(leafIdx, i int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if leafIdx < 0 || leafIdx >= s.Tree.Leaves() || i < 0 || i >= s.Tree.L2PerPod {
-		return failErr(fmt.Sprintf("leaf uplink %d/%d", leafIdx, i), "out of range")
-	}
-	idx := leafIdx*s.Tree.L2PerPod + i
-	if s.failedLeafUp == nil || !s.failedLeafUp[idx] {
-		return failErr(fmt.Sprintf("leaf uplink %d/%d", leafIdx, i), "not failed")
-	}
-	s.returnLeafUp(leafIdx, i, s.Capacity)
-	s.failedLeafUp[idx] = false
-	s.failedLeafUps--
-	return nil
-}
-
-// FailSpineUplink marks the uplink (pod, L2 -> spine sp) failed.
-func (s *State) FailSpineUplink(pod, l2, sp int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if pod < 0 || pod >= s.Tree.Pods || l2 < 0 || l2 >= s.Tree.L2PerPod || sp < 0 || sp >= s.Tree.SpinesPerGroup {
-		return failErr(fmt.Sprintf("spine uplink %d/%d/%d", pod, l2, sp), "out of range")
-	}
-	idx := (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup + sp
-	if s.failedSpineUp != nil && s.failedSpineUp[idx] {
-		return failErr(fmt.Sprintf("spine uplink %d/%d/%d", pod, l2, sp), "already failed")
-	}
-	if s.spineUp[idx] != s.Capacity {
-		return failErr(fmt.Sprintf("spine uplink %d/%d/%d", pod, l2, sp), "in use")
-	}
-	s.ensureFailFlags()
-	s.takeSpineUp(pod, l2, sp, s.Capacity)
-	s.failedSpineUp[idx] = true
-	s.failedSpineUps++
-	return nil
-}
-
-// RecoverSpineUplink returns a failed spine uplink to service.
-func (s *State) RecoverSpineUplink(pod, l2, sp int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if pod < 0 || pod >= s.Tree.Pods || l2 < 0 || l2 >= s.Tree.L2PerPod || sp < 0 || sp >= s.Tree.SpinesPerGroup {
-		return failErr(fmt.Sprintf("spine uplink %d/%d/%d", pod, l2, sp), "out of range")
-	}
-	idx := (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup + sp
-	if s.failedSpineUp == nil || !s.failedSpineUp[idx] {
-		return failErr(fmt.Sprintf("spine uplink %d/%d/%d", pod, l2, sp), "not failed")
-	}
-	s.returnSpineUp(pod, l2, sp, s.Capacity)
-	s.failedSpineUp[idx] = false
-	s.failedSpineUps--
-	return nil
-}
-
-// FailLeafSwitch fails a whole leaf switch: every node on the leaf and every
-// uplink out of it. Components that are already failed are left as they are;
-// if any component is held by a job the call is rejected whole (all-or-
-// nothing) — release or requeue the jobs first.
-func (s *State) FailLeafSwitch(leafIdx int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if leafIdx < 0 || leafIdx >= s.Tree.Leaves() {
-		return failErr(fmt.Sprintf("leaf switch %d", leafIdx), "out of range")
-	}
-	// Validate all-or-nothing before mutating anything.
-	for slot := 0; slot < s.Tree.NodesPerLeaf; slot++ {
-		n := NodeID(leafIdx*s.Tree.NodesPerLeaf + slot)
-		if o := s.nodeOwner[n]; o != 0 && o != FailedOwner {
-			return failErr(fmt.Sprintf("leaf switch %d", leafIdx), fmt.Sprintf("node %d owned by job %d", n, o))
-		}
-	}
-	for i := 0; i < s.Tree.L2PerPod; i++ {
-		idx := leafIdx*s.Tree.L2PerPod + i
-		failed := s.failedLeafUp != nil && s.failedLeafUp[idx]
-		if !failed && s.leafUp[idx] != s.Capacity {
-			return failErr(fmt.Sprintf("leaf switch %d", leafIdx), fmt.Sprintf("uplink %d in use", i))
-		}
-	}
-	for slot := 0; slot < s.Tree.NodesPerLeaf; slot++ {
-		n := NodeID(leafIdx*s.Tree.NodesPerLeaf + slot)
-		if s.nodeOwner[n] == 0 {
-			s.retakeNode(n, FailedOwner)
-			s.failedNodes++
-		}
-	}
-	s.ensureFailFlags()
-	for i := 0; i < s.Tree.L2PerPod; i++ {
-		idx := leafIdx*s.Tree.L2PerPod + i
-		if !s.failedLeafUp[idx] {
-			s.takeLeafUp(leafIdx, i, s.Capacity)
-			s.failedLeafUp[idx] = true
-			s.failedLeafUps++
-		}
-	}
-	return nil
-}
-
-// RecoverLeafSwitch recovers every currently-failed node and uplink of the
-// leaf, however it came to fail (a component failed individually and again
-// as part of the switch is recovered once; see DESIGN.md §12 on overlap).
-func (s *State) RecoverLeafSwitch(leafIdx int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if leafIdx < 0 || leafIdx >= s.Tree.Leaves() {
-		return failErr(fmt.Sprintf("leaf switch %d", leafIdx), "out of range")
-	}
-	for slot := 0; slot < s.Tree.NodesPerLeaf; slot++ {
-		n := NodeID(leafIdx*s.Tree.NodesPerLeaf + slot)
-		if s.nodeOwner[n] == FailedOwner {
-			s.returnNode(n)
-			s.failedNodes--
-		}
-	}
-	for i := 0; s.failedLeafUp != nil && i < s.Tree.L2PerPod; i++ {
-		idx := leafIdx*s.Tree.L2PerPod + i
-		if s.failedLeafUp[idx] {
-			s.returnLeafUp(leafIdx, i, s.Capacity)
-			s.failedLeafUp[idx] = false
-			s.failedLeafUps--
-		}
-	}
-	return nil
-}
-
-// FailL2Switch fails a whole L2 switch of a pod: the leaf uplinks into it
-// from every leaf of the pod, plus its spine uplinks. All-or-nothing like
-// FailLeafSwitch.
-func (s *State) FailL2Switch(pod, l2 int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if pod < 0 || pod >= s.Tree.Pods || l2 < 0 || l2 >= s.Tree.L2PerPod {
-		return failErr(fmt.Sprintf("L2 switch %d/%d", pod, l2), "out of range")
-	}
-	for l := 0; l < s.Tree.LeavesPerPod; l++ {
-		leaf := s.Tree.LeafIndex(pod, l)
-		idx := leaf*s.Tree.L2PerPod + l2
-		failed := s.failedLeafUp != nil && s.failedLeafUp[idx]
-		if !failed && s.leafUp[idx] != s.Capacity {
-			return failErr(fmt.Sprintf("L2 switch %d/%d", pod, l2), fmt.Sprintf("leaf %d uplink in use", leaf))
-		}
-	}
-	for sp := 0; sp < s.Tree.SpinesPerGroup; sp++ {
-		idx := (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup + sp
-		failed := s.failedSpineUp != nil && s.failedSpineUp[idx]
-		if !failed && s.spineUp[idx] != s.Capacity {
-			return failErr(fmt.Sprintf("L2 switch %d/%d", pod, l2), fmt.Sprintf("spine uplink %d in use", sp))
-		}
-	}
-	s.ensureFailFlags()
-	for l := 0; l < s.Tree.LeavesPerPod; l++ {
-		leaf := s.Tree.LeafIndex(pod, l)
-		idx := leaf*s.Tree.L2PerPod + l2
-		if !s.failedLeafUp[idx] {
-			s.takeLeafUp(leaf, l2, s.Capacity)
-			s.failedLeafUp[idx] = true
-			s.failedLeafUps++
-		}
-	}
-	for sp := 0; sp < s.Tree.SpinesPerGroup; sp++ {
-		idx := (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup + sp
-		if !s.failedSpineUp[idx] {
-			s.takeSpineUp(pod, l2, sp, s.Capacity)
-			s.failedSpineUp[idx] = true
-			s.failedSpineUps++
-		}
-	}
-	return nil
-}
-
-// RecoverL2Switch recovers every currently-failed link of the L2 switch.
-func (s *State) RecoverL2Switch(pod, l2 int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if pod < 0 || pod >= s.Tree.Pods || l2 < 0 || l2 >= s.Tree.L2PerPod {
-		return failErr(fmt.Sprintf("L2 switch %d/%d", pod, l2), "out of range")
-	}
-	if s.failedLeafUp == nil {
-		return nil
-	}
-	for l := 0; l < s.Tree.LeavesPerPod; l++ {
-		leaf := s.Tree.LeafIndex(pod, l)
-		idx := leaf*s.Tree.L2PerPod + l2
-		if s.failedLeafUp[idx] {
-			s.returnLeafUp(leaf, l2, s.Capacity)
-			s.failedLeafUp[idx] = false
-			s.failedLeafUps--
-		}
-	}
-	for sp := 0; sp < s.Tree.SpinesPerGroup; sp++ {
-		idx := (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup + sp
-		if s.failedSpineUp[idx] {
-			s.returnSpineUp(pod, l2, sp, s.Capacity)
-			s.failedSpineUp[idx] = false
-			s.failedSpineUps--
-		}
-	}
-	return nil
-}
-
-// FailSpineSwitch fails a whole spine switch: its uplink in every pod (spine
-// sp of group g connects to L2 switch g of each pod). All-or-nothing.
-func (s *State) FailSpineSwitch(group, sp int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if group < 0 || group >= s.Tree.L2PerPod || sp < 0 || sp >= s.Tree.SpinesPerGroup {
-		return failErr(fmt.Sprintf("spine switch %d/%d", group, sp), "out of range")
-	}
-	// A spine switch spans every pod, but a cell-restricted state (cell.go)
-	// owns only its pod range: out-of-cell uplinks are consumed by the
-	// restriction and belong to other shards, so the failure applies to the
-	// in-cell slice here (the other shards apply theirs).
-	for pod := s.podLo(); pod < s.podHi(); pod++ {
-		idx := (pod*s.Tree.L2PerPod+group)*s.Tree.SpinesPerGroup + sp
-		failed := s.failedSpineUp != nil && s.failedSpineUp[idx]
-		if !failed && s.spineUp[idx] != s.Capacity {
-			return failErr(fmt.Sprintf("spine switch %d/%d", group, sp), fmt.Sprintf("pod %d uplink in use", pod))
-		}
-	}
-	s.ensureFailFlags()
-	for pod := s.podLo(); pod < s.podHi(); pod++ {
-		idx := (pod*s.Tree.L2PerPod+group)*s.Tree.SpinesPerGroup + sp
-		if !s.failedSpineUp[idx] {
-			s.takeSpineUp(pod, group, sp, s.Capacity)
-			s.failedSpineUp[idx] = true
-			s.failedSpineUps++
-		}
-	}
-	return nil
-}
-
-// RecoverSpineSwitch recovers every currently-failed per-pod uplink of the
-// spine switch.
-func (s *State) RecoverSpineSwitch(group, sp int) error {
-	if err := s.failGuard(); err != nil {
-		return err
-	}
-	if group < 0 || group >= s.Tree.L2PerPod || sp < 0 || sp >= s.Tree.SpinesPerGroup {
-		return failErr(fmt.Sprintf("spine switch %d/%d", group, sp), "out of range")
-	}
-	if s.failedSpineUp == nil {
-		return nil
-	}
-	for pod := s.podLo(); pod < s.podHi(); pod++ {
-		idx := (pod*s.Tree.L2PerPod+group)*s.Tree.SpinesPerGroup + sp
-		if s.failedSpineUp[idx] {
-			s.returnSpineUp(pod, group, sp, s.Capacity)
-			s.failedSpineUp[idx] = false
-			s.failedSpineUps--
-		}
-	}
-	return nil
 }

@@ -1,11 +1,13 @@
 package topology
 
 // FuzzStateFailRecover drives random interleavings of allocation mutators,
-// fail/recover calls, and undo-journal transactions against one State and
-// audits CheckInvariants after every operation. The failure model routes
-// through the same take/return mutators as allocations, so this exercises
-// the sentinel-owner encoding, the incremental indices, and the journal
-// against each other.
+// spec-level fail/recover calls, and undo-journal transactions against one
+// State and audits CheckInvariants after every operation — including its
+// overlap-rule clause (a component is failed iff an active spec covers it),
+// which is the oracle for the failure model: specs overlap freely here. The
+// failure model routes through the same take/return mutators as allocations,
+// so this exercises the sentinel-owner encoding, the incremental indices, and
+// the journal against each other.
 
 import (
 	"testing"
@@ -15,12 +17,36 @@ func FuzzStateFailRecover(f *testing.F) {
 	f.Add([]byte{0, 3, 6, 9, 10, 2, 11, 0})
 	f.Add([]byte{6, 5, 7, 5, 10, 0, 10, 1, 10, 2, 10, 3, 10, 4, 10, 5})
 	f.Add([]byte{0, 1, 0, 2, 2, 7, 4, 9, 8, 3, 9, 3, 1, 0, 3, 7, 5, 9})
+	// Overlap: node 5, then leaf switch 1 over it, recovered switch first;
+	// L2 switch 0/1 and spine switch 1/2 sharing an uplink, recovered in
+	// injection order.
+	f.Add([]byte{6, 5, 9, 1, 9, 1, 6, 5})
+	f.Add([]byte{10, 0, 1, 10, 1, 2, 10, 0, 1, 10, 1, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := MustNew(8)
 		s := NewState(tr, 1)
 		audit := func() {
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatal(err)
+			}
+		}
+		// toggle recovers the spec if it is active, which must succeed, and
+		// otherwise fails it, which is refused exactly when a job holds a
+		// component no active spec has failed already — never because of
+		// overlap with another spec.
+		toggle := func(f Failure) {
+			if s.FailureActive(f) {
+				if err := f.Revert(s); err != nil {
+					t.Fatalf("recover active %v: %v", f, err)
+				}
+				return
+			}
+			blocked := false
+			for _, c := range s.components(f) {
+				blocked = blocked || !s.failed(c) && !s.free(c)
+			}
+			if err := f.Apply(s); (err != nil) != blocked {
+				t.Fatalf("fail %v with active %v: err=%v, blocked by a job=%v", f, s.ActiveFailures(), err, blocked)
 			}
 		}
 		var takenNodes []NodeID
@@ -73,48 +99,24 @@ func FuzzStateFailRecover(f *testing.F) {
 					s.returnSpineUp(u[0], u[1], u[2], 1)
 					takenSpineUps = takenSpineUps[:k-1]
 				}
-			case 6: // fail/recover a node (errors on busy/healthy targets are fine)
-				n := NodeID(arg % tr.Nodes())
-				if s.NodeFailed(n) {
-					_ = s.RecoverNode(n)
-				} else {
-					_ = s.FailNode(n)
-				}
+			case 6: // fail/recover a node
+				toggle(NodeFailure(NodeID(arg % tr.Nodes())))
 			case 7: // fail/recover a leaf uplink
-				leaf, l2 := arg%tr.Leaves(), next()%tr.L2PerPod
-				if s.LeafUplinkFailed(leaf, l2) {
-					_ = s.RecoverLeafUplink(leaf, l2)
-				} else {
-					_ = s.FailLeafUplink(leaf, l2)
-				}
+				toggle(LeafUplinkFailure(arg%tr.Leaves(), next()%tr.L2PerPod))
 			case 8: // fail/recover a spine uplink
-				pod, l2, sp := arg%tr.Pods, next()%tr.L2PerPod, next()%tr.SpinesPerGroup
-				if s.SpineUplinkFailed(pod, l2, sp) {
-					_ = s.RecoverSpineUplink(pod, l2, sp)
-				} else {
-					_ = s.FailSpineUplink(pod, l2, sp)
-				}
-			case 9: // fail/recover a leaf switch (all-or-nothing composite)
-				leaf := arg % tr.Leaves()
-				if err := s.FailLeafSwitch(leaf); err != nil {
-					_ = s.RecoverLeafSwitch(leaf)
-				}
+				toggle(SpineUplinkFailure(arg%tr.Pods, next()%tr.L2PerPod, next()%tr.SpinesPerGroup))
+			case 9: // fail/recover a leaf switch
+				toggle(LeafSwitchFailure(arg % tr.Leaves()))
 			case 10: // fail/recover an L2 or spine switch
 				if arg%2 == 0 {
-					pod, l2 := arg%tr.Pods, next()%tr.L2PerPod
-					if err := s.FailL2Switch(pod, l2); err != nil {
-						_ = s.RecoverL2Switch(pod, l2)
-					}
+					toggle(L2SwitchFailure(arg%tr.Pods, next()%tr.L2PerPod))
 				} else {
-					g, sp := arg%tr.L2PerPod, next()%tr.SpinesPerGroup
-					if err := s.FailSpineSwitch(g, sp); err != nil {
-						_ = s.RecoverSpineSwitch(g, sp)
-					}
+					toggle(SpineSwitchFailure(arg%tr.L2PerPod, next()%tr.SpinesPerGroup))
 				}
 			case 11: // failures are barred inside transactions
 				s.Begin()
-				if err := s.FailNode(NodeID(arg % tr.Nodes())); err == nil {
-					t.Fatal("FailNode allowed inside a transaction")
+				if err := NodeFailure(NodeID(arg % tr.Nodes())).Apply(s); err == nil {
+					t.Fatal("node failure allowed inside a transaction")
 				}
 				n := NodeID(arg % tr.Nodes())
 				if s.Owner(n) == 0 {
@@ -125,33 +127,13 @@ func FuzzStateFailRecover(f *testing.F) {
 			audit()
 		}
 
-		// Heal and drain everything; the state must come back pristine.
-		for n := 0; n < tr.Nodes(); n++ {
-			if s.NodeFailed(NodeID(n)) {
-				if err := s.RecoverNode(NodeID(n)); err != nil {
-					t.Fatalf("recover node %d: %v", n, err)
-				}
+		// Recover every active spec, in injection order, and drain everything;
+		// the state must come back pristine.
+		for _, f := range s.ActiveFailures() {
+			if err := f.Revert(s); err != nil {
+				t.Fatalf("recover %v: %v", f, err)
 			}
-		}
-		for leaf := 0; leaf < tr.Leaves(); leaf++ {
-			for l2 := 0; l2 < tr.L2PerPod; l2++ {
-				if s.LeafUplinkFailed(leaf, l2) {
-					if err := s.RecoverLeafUplink(leaf, l2); err != nil {
-						t.Fatalf("recover leaf uplink %d/%d: %v", leaf, l2, err)
-					}
-				}
-			}
-		}
-		for pod := 0; pod < tr.Pods; pod++ {
-			for l2 := 0; l2 < tr.L2PerPod; l2++ {
-				for sp := 0; sp < tr.SpinesPerGroup; sp++ {
-					if s.SpineUplinkFailed(pod, l2, sp) {
-						if err := s.RecoverSpineUplink(pod, l2, sp); err != nil {
-							t.Fatalf("recover spine uplink %d/%d/%d: %v", pod, l2, sp, err)
-						}
-					}
-				}
-			}
+			audit()
 		}
 		for _, n := range takenNodes {
 			s.returnNode(n)

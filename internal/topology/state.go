@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // State tracks the allocation status of every node and every isolatable link
@@ -85,17 +86,13 @@ type State struct {
 	podFree       []int32  // per pod: total free nodes
 	podSpineBusy  []int32  // per pod: spine uplinks below full residual
 
-	// Failure bookkeeping (see failure.go). Failed nodes are encoded as
-	// ownership by FailedOwner, so the arrays above already account for
-	// them; failed links additionally carry a flag here because a zero
-	// residual alone cannot distinguish "failed" from "fully allocated".
-	// The flag arrays are allocated lazily on the first failure — pristine
-	// states carry no failure bookkeeping.
-	failedLeafUp   []bool
-	failedSpineUp  []bool
-	failedNodes    int
-	failedLeafUps  int
-	failedSpineUps int
+	// Failure bookkeeping (see failure.go): the active failure specs in
+	// injection order, nil while healthy, and how many nodes, leaf uplinks
+	// and spine uplinks they hold (indexed by the primitive FailureKinds).
+	// What is failed is derived from the specs; the arrays above account for
+	// it as ownership by FailedOwner and as consumed residual.
+	failures    []Failure
+	failedCount [FailureSpineUplink + 1]int
 
 	// scanQueries forces every availability query to recompute its answer
 	// from the raw residuals instead of the indices. The differential tests
@@ -284,13 +281,8 @@ func (s *State) Clone() *State {
 		version:       s.version,
 		cellLo:        s.cellLo,
 		cellHi:        s.cellHi,
-	}
-	c.failedNodes = s.failedNodes
-	c.failedLeafUps = s.failedLeafUps
-	c.failedSpineUps = s.failedSpineUps
-	if s.failedLeafUp != nil {
-		c.failedLeafUp = append([]bool(nil), s.failedLeafUp...)
-		c.failedSpineUp = append([]bool(nil), s.failedSpineUp...)
+		failures:      slices.Clone(s.failures),
+		failedCount:   s.failedCount,
 	}
 	return c
 }
@@ -375,6 +367,36 @@ func (s *State) PodSpinesFree(pod int) bool {
 	}
 	return s.podSpineBusy[pod] == 0
 }
+
+// FailureActive reports whether the spec is active (applied, not reverted).
+func (s *State) FailureActive(f Failure) bool { return slices.Contains(s.failures, f.canonical()) }
+
+// ActiveFailures returns a copy of the active specs in injection order.
+func (s *State) ActiveFailures() []Failure { return slices.Clone(s.failures) }
+
+// Degraded reports whether any spec is active, which by the overlap rule is
+// the same as "any node or link is failed".
+func (s *State) Degraded() bool { return len(s.failures) > 0 }
+
+// FailedSwitches returns the number of active whole-switch specs.
+func (s *State) FailedSwitches() (n int) {
+	for _, a := range s.failures {
+		if a.Kind.row().isSwitch {
+			n++
+		}
+	}
+	return n
+}
+
+// Whether one node or link is failed, and how many of each are.
+
+func (s *State) NodeFailed(n NodeID) bool             { return s.failed(NodeFailure(n)) }
+func (s *State) LeafUplinkFailed(leaf, l2 int) bool   { return s.failed(LeafUplinkFailure(leaf, l2)) }
+func (s *State) SpineUplinkFailed(p, l2, sp int) bool { return s.failed(SpineUplinkFailure(p, l2, sp)) }
+func (s *State) FailedNodes() int                     { return s.failedCount[FailureNode] }
+func (s *State) FailedLeafUplinks() int               { return s.failedCount[FailureLeafUplink] }
+func (s *State) FailedSpineUplinks() int              { return s.failedCount[FailureSpineUplink] }
+func (s *State) FailedLinks() int                     { return s.FailedLeafUplinks() + s.FailedSpineUplinks() }
 
 // Owner returns the job owning node n, or 0 if the node is free.
 func (s *State) Owner(n NodeID) JobID { return s.nodeOwner[n] }
@@ -752,40 +774,48 @@ func (s *State) CheckInvariants() error {
 		}
 	}
 
-	// Failure bookkeeping: the counters match the sentinel owners and the
-	// per-link flags, and a failed link always has zero residual — its full
-	// capacity is held by the failure, so nothing can be placed on it.
-	failedNodes := 0
-	for _, o := range s.nodeOwner {
-		if o == FailedOwner {
-			failedNodes++
+	// Failure bookkeeping (failure.go): the active specs are valid, canonical,
+	// distinct and take something down here; a node is owned by FailedOwner
+	// iff the overlap rule says it is failed; a failed link has no residual
+	// left; and the counters match the rule. A healthy state holds nothing on
+	// behalf of a failure, which needs no walk over the components.
+	if s.failures == nil {
+		if slices.Contains(s.nodeOwner, FailedOwner) || s.failedCount != [FailureSpineUplink + 1]int{} {
+			return fmt.Errorf("no active failure, but nodes are owned by FailedOwner or the failed counts are %v", s.failedCount)
+		}
+		return nil
+	}
+	for i, a := range s.failures {
+		if a.Validate(s.Tree) != nil || a != a.canonical() || slices.Contains(s.failures[:i], a) || len(s.components(a)) == 0 {
+			return fmt.Errorf("active failure %d (%v) is invalid, not canonical, a repeat or outside the cell", i, a)
 		}
 	}
-	if failedNodes != s.failedNodes {
-		return fmt.Errorf("failedNodes %d, owners imply %d", s.failedNodes, failedNodes)
+	var count [FailureSpineUplink + 1]int
+	down := func(c Failure) bool {
+		d := s.failed(c)
+		if d {
+			count[c.Kind]++
+		}
+		return d
 	}
-	failedLeafUps, failedSpineUps := 0, 0
-	for i, f := range s.failedLeafUp {
-		if f {
-			failedLeafUps++
-			if s.leafUp[i] != 0 {
-				return fmt.Errorf("leafUp[%d] failed but residual %d != 0", i, s.leafUp[i])
-			}
+	for n, o := range s.nodeOwner {
+		if c := NodeFailure(NodeID(n)); down(c) != (o == FailedOwner) {
+			return fmt.Errorf("%v: owner %d, but active failures %v", c, o, s.failures)
 		}
 	}
-	for i, f := range s.failedSpineUp {
-		if f {
-			failedSpineUps++
-			if s.spineUp[i] != 0 {
-				return fmt.Errorf("spineUp[%d] failed but residual %d != 0", i, s.spineUp[i])
-			}
+	for i, r := range s.leafUp {
+		if c := LeafUplinkFailure(i/t.L2PerPod, i%t.L2PerPod); down(c) && r != 0 {
+			return fmt.Errorf("%v: failed but residual %d != 0", c, r)
 		}
 	}
-	if failedLeafUps != s.failedLeafUps {
-		return fmt.Errorf("failedLeafUps %d, flags imply %d", s.failedLeafUps, failedLeafUps)
+	for i, r := range s.spineUp {
+		pl := i / t.SpinesPerGroup
+		if c := SpineUplinkFailure(pl/t.L2PerPod, pl%t.L2PerPod, i%t.SpinesPerGroup); down(c) && r != 0 {
+			return fmt.Errorf("%v: failed but residual %d != 0", c, r)
+		}
 	}
-	if failedSpineUps != s.failedSpineUps {
-		return fmt.Errorf("failedSpineUps %d, flags imply %d", s.failedSpineUps, failedSpineUps)
+	if count != s.failedCount {
+		return fmt.Errorf("failed nodes/leaf uplinks/spine uplinks %v, active failures %v imply %v", s.failedCount, s.failures, count)
 	}
 	return nil
 }
