@@ -222,7 +222,13 @@ func drivePair(t *testing.T, policy, variant string, seed int64, tree *topology.
 		}
 	}
 
-	// Drain both engines and compare the complete accounting ledgers.
+	drainPair(t, policy, variant, seed, et, ec)
+}
+
+// drainPair steps both engines dry in lockstep and compares the drained
+// snapshots and the complete accounting ledgers.
+func drainPair(t *testing.T, policy, variant string, seed int64, et, ec *engine.Engine) {
+	t.Helper()
 	for {
 		_, okT := et.Step()
 		_, okC := ec.Step()

@@ -99,7 +99,7 @@ func (e *Engine) shrinkOne(it *jobItem, remain, now float64) bool {
 		hi = free // cheap necessary bound, like the reservation's
 	}
 	for s := hi; s >= it.j.MinSize(); s-- {
-		pl, ok := e.place(it, s, true)
+		pl, ok := e.place(it, s, true, false)
 		if !ok {
 			continue
 		}
@@ -148,7 +148,7 @@ func (e *Engine) tryGrow(rj *runningJob, now float64) bool {
 	remain := rj.end - now
 	e.cfg.Alloc.Release(rj.pl)
 	for s := hi; s > cur; s-- {
-		pl, ok := e.place(it, s, true)
+		pl, ok := e.place(it, s, true, false)
 		if !ok {
 			continue
 		}
@@ -219,7 +219,7 @@ func (e *Engine) tryPreempt(head *jobItem, now float64) (*topology.Placement, bo
 		if e.cfg.Alloc.FreeNodes() < head.j.Size {
 			continue
 		}
-		if pl, ok := e.place(head, head.j.Size, true); ok {
+		if pl, ok := e.place(head, head.j.Size, true, false); ok {
 			e.finishPreempt(victims[:i+1], now)
 			return pl, true
 		}

@@ -57,6 +57,20 @@ type feasKey struct {
 	class int32
 }
 
+// feasVerdict is what the memo holds for a feasKey (DESIGN.md §11). The two
+// refusals exclude each other: a displacing placement is a placement.
+type feasVerdict uint8
+
+const (
+	// feasUnknown is the zero value: no verdict, run the search.
+	feasUnknown feasVerdict = iota
+	// feasNoPlacement: Allocate fails on the live state.
+	feasNoPlacement
+	// feasDisplaces: Allocate succeeds, and the placement it charges, still
+	// running at the shadow time, leaves no room for the head there.
+	feasDisplaces
+)
+
 // timeEps absorbs floating-point slack in shadow-time comparisons.
 const timeEps = 1e-9
 
@@ -241,12 +255,15 @@ type Accounting struct {
 	// with and without the cache.
 	AllocSeconds float64
 	AllocCalls   int
-	// FeasCacheHits counts allocation attempts answered "infeasible" from
-	// the negative-feasibility cache without running the allocator's search;
-	// FeasCacheMisses counts consults that fell through to a real search.
-	// FeasCacheInvalidations counts the times a state-version change
-	// discarded a non-empty cache. All three stay zero when the allocator
-	// does not support the cache (alloc.FeasibilityClasser).
+	// FeasCacheHits counts allocation attempts the negative-feasibility cache
+	// refused without running the allocator's search: "no placement", and for
+	// a backfill candidate that runs past the shadow time "its placement
+	// displaces the head". FeasCacheMisses counts consults that fell through
+	// to a real search. FeasCacheInvalidations counts the times a change of
+	// the live state discarded a non-empty cache; a probe the scheduler
+	// charged and released again is not one (feasUndone). All three stay zero
+	// when the allocator does not support the cache
+	// (alloc.FeasibilityClasser).
 	FeasCacheHits, FeasCacheMisses, FeasCacheInvalidations int
 	// Killed lists jobs terminated by failures under the FailKill policy
 	// (empty unless Fail was called on a kill-policy engine).
@@ -389,23 +406,27 @@ type Engine struct {
 	// byEnd is replay's reusable sort scratch.
 	byEnd []*runningJob
 
-	// Negative-feasibility cache (DESIGN.md §11). feasClass is non-nil when
-	// the allocator implements alloc.FeasibilityClasser: a failed Allocate
-	// then proves every same-(size, class) attempt infeasible until the
-	// live state's version changes. The cache applies only to live-state
-	// searches (place, and replay when it runs on the live state) —
-	// clone-based passes have their own State whose versions are not
-	// comparable with the live one.
+	// Negative-feasibility cache (DESIGN.md §11): refusals the scheduler has
+	// already worked out on the live state, each holding for every job of the
+	// same (size, class) until the live state changes. feasClass is non-nil
+	// when the allocator implements alloc.FeasibilityClasser; without it
+	// there is no cache. Verdicts are about the live state only (place, and
+	// replay when it runs on the live state) — a clone has its own State,
+	// whose versions are not comparable with the live one's.
 	feasClass func(topology.JobID) int32
 	// feasMono is set when the allocator additionally declares
-	// alloc.MonotoneFeasibility; the cache then degenerates to a single
-	// threshold: the smallest size seen to fail at the current version.
+	// alloc.MonotoneFeasibility; "no placement" then needs no map entry, only
+	// a threshold: the smallest size seen to fail at the current version.
 	feasMono bool
 	// feasVersion is the live-state version the cached verdicts hold at.
 	feasVersion uint64
-	// feasFailed holds the failed (size, class) pairs (non-monotone mode).
-	feasFailed map[feasKey]struct{}
-	// feasMin is the monotone-mode threshold; maxInt means "nothing failed".
+	// feasMemo holds the verdict per (size, class): "no placement"
+	// (non-monotone mode) and "displaces the head" (both modes). The latter
+	// also depends on the reservation, so scheduleQueue drops those entries
+	// where it computes a new one.
+	feasMemo map[feasKey]feasVerdict
+	// feasMin is the monotone-mode threshold; maxInt means "nothing failed"
+	// and is all it ever holds in non-monotone mode.
 	feasMin int
 
 	// lastUtil is the current step of the used-node series (the last
@@ -454,9 +475,7 @@ func New(cfg Config) (*Engine, error) {
 	if fc, ok := cfg.Alloc.(alloc.FeasibilityClasser); ok {
 		e.feasClass = fc.FeasibilityClass
 		_, e.feasMono = cfg.Alloc.(alloc.MonotoneFeasibility)
-		if !e.feasMono {
-			e.feasFailed = map[feasKey]struct{}{}
-		}
+		e.feasMemo = map[feasKey]feasVerdict{}
 		e.feasVersion = cfg.Alloc.State().Version()
 	}
 	return e, nil
@@ -902,58 +921,73 @@ func (e *Engine) start(it *jobItem, pl *topology.Placement, now float64) *runnin
 	return rj
 }
 
-// feasSync discards cached verdicts when the live state's version moved:
-// any take or return since they were recorded could have changed the answer.
-// Invalidations are only counted when something was actually discarded.
+// feasSync discards cached verdicts when the live state's version moved
+// since they were stamped: a take or a return the scheduler kept — a start, a
+// completion, a cancellation, a failure, a resize — could have changed any
+// answer. A probe the scheduler charged and released again also moves the
+// version, but not the state; feasUndone re-stamps the memo over it, so it
+// never shows here. Invalidations are only counted when something was
+// actually discarded.
 func (e *Engine) feasSync() {
 	v := e.cfg.Alloc.State().Version()
 	if v == e.feasVersion {
 		return
 	}
 	e.feasVersion = v
-	if e.feasMono {
-		if e.feasMin != maxInt {
-			e.feasMin = maxInt
-			e.acc.FeasCacheInvalidations++
-		}
-	} else if len(e.feasFailed) > 0 {
-		clear(e.feasFailed)
+	if e.feasMin != maxInt || len(e.feasMemo) > 0 {
+		e.feasMin = maxInt
+		clear(e.feasMemo)
 		e.acc.FeasCacheInvalidations++
 	}
 }
 
-// feasInfeasible reports whether the cache proves the job cannot be placed
-// on the live state right now. False when the cache is off or has no verdict.
-func (e *Engine) feasInfeasible(size int, id int64) bool {
-	if e.feasClass == nil {
-		return false
+// feasUndone re-stamps the memo after the scheduler released a placement
+// that place charged moments ago. place searched at the version the memo was
+// synced to, nothing was recorded while the placement was held, and
+// take-then-return is an exact inverse on topology.State (DESIGN.md §10: the
+// same mutators walk the availability indices back), so the live state is bit
+// for bit the one every cached verdict is about — only its version counter
+// moved. It has exactly two callers, the two places scheduleQueue's backfill
+// loop undoes a probe.
+func (e *Engine) feasUndone() {
+	if e.feasClass != nil {
+		e.feasVersion = e.cfg.Alloc.State().Version()
 	}
-	e.feasSync()
-	if e.feasMono {
-		return size >= e.feasMin
-	}
-	_, hit := e.feasFailed[feasKey{size: size, class: e.feasClass(topology.JobID(id))}]
-	return hit
 }
 
-// feasRecordFailure memoizes a live-state Allocate failure just observed at
-// the synced version (a failed Allocate leaves the state — and therefore its
-// version — untouched, so no re-sync is needed).
-func (e *Engine) feasRecordFailure(size int, id int64) {
+// feasLookup returns the memo's verdict for placing the job at the given
+// size on the live state right now: one sync and at most one map lookup.
+// feasUnknown when the cache is off or has nothing.
+func (e *Engine) feasLookup(size int, id int64) feasVerdict {
+	if e.feasClass == nil {
+		return feasUnknown
+	}
+	e.feasSync()
+	if size >= e.feasMin {
+		return feasNoPlacement
+	}
+	return e.feasMemo[feasKey{size: size, class: e.feasClass(topology.JobID(id))}]
+}
+
+// feasRecord memoizes a refusal just worked out on the live state at the
+// synced version: a failed Allocate (which leaves the state — and therefore
+// its version — untouched), or a refused displacement check whose probe
+// feasUndone has just re-stamped.
+func (e *Engine) feasRecord(size int, id int64, v feasVerdict) {
 	if e.feasClass == nil {
 		return
 	}
-	if e.feasMono {
+	if e.feasMono && v == feasNoPlacement {
 		if size < e.feasMin {
 			e.feasMin = size
 		}
 		return
 	}
-	e.feasFailed[feasKey{size: size, class: e.feasClass(topology.JobID(id))}] = struct{}{}
+	e.feasMemo[feasKey{size: size, class: e.feasClass(topology.JobID(id))}] = v
 }
 
 // place tries a live placement of the job at the given size, accounting
-// scheduling time. Attempts the feasibility cache can refute skip the
+// scheduling time. Attempts the feasibility cache can refuse skip the
 // allocator search entirely; they still count as AllocCalls (logical
 // attempts), keeping the accounting identical with and without the cache.
 //
@@ -964,9 +998,14 @@ func (e *Engine) feasRecordFailure(size int, id int64) {
 // is found first and independently re-verified with partition.Verify. A
 // found-but-illegal partition (a search bug) is refused rather than charged,
 // without poisoning the feasibility cache.
-func (e *Engine) place(it *jobItem, size int, verify bool) (*topology.Placement, bool) {
+//
+// long is set by the backfill scan for a candidate that runs past the head's
+// shadow time: the caller will release the placement again if it displaces
+// the head, so a cached "displaces" verdict refuses the attempt as well.
+// Every other caller keeps what it gets and passes false.
+func (e *Engine) place(it *jobItem, size int, verify, long bool) (*topology.Placement, bool) {
 	e.acc.AllocCalls++
-	if e.feasInfeasible(size, it.j.ID) {
+	if v := e.feasLookup(size, it.j.ID); v == feasNoPlacement || (long && v == feasDisplaces) {
 		e.acc.FeasCacheHits++
 		return nil, false
 	}
@@ -994,19 +1033,27 @@ func (e *Engine) place(it *jobItem, size int, verify bool) (*topology.Placement,
 	if e.feasClass != nil {
 		e.acc.FeasCacheMisses++
 		if !ok && !illegal {
-			e.feasRecordFailure(size, it.j.ID)
+			e.feasRecord(size, it.j.ID, feasNoPlacement)
 		}
 	}
 	return pl, ok
 }
 
-// removeQueued deletes queue[i], nilling the vacated tail slot so the
-// backing array does not pin the removed job (and its eventual placement)
-// until enough later removals overwrite it.
+// removeQueued deletes queue[i] by shifting the shorter side over it —
+// backfill removes inside the first window+1 entries of a queue that can be
+// thousands deep — and nils the vacated end slot so the backing array does
+// not pin the removed job (and its eventual placement) until enough later
+// removals overwrite it.
 func (e *Engine) removeQueued(i int) {
+	last := len(e.queue) - 1
+	if i < last-i {
+		copy(e.queue[1:], e.queue[:i])
+		e.popHead()
+		return
+	}
 	copy(e.queue[i:], e.queue[i+1:])
-	e.queue[len(e.queue)-1] = nil
-	e.queue = e.queue[:len(e.queue)-1]
+	e.queue[last] = nil
+	e.queue = e.queue[:last]
 }
 
 // popHead drops queue[0] by reslicing (the FIFO fast path keeps the backing
@@ -1036,7 +1083,7 @@ func (e *Engine) scheduleQueue(now float64) {
 			if e.headBlocked && head.j.ID == e.headBlockedID && e.releaseEpoch == e.headBlockedEpoch {
 				break
 			}
-			pl, ok := e.place(head, head.j.Size, false)
+			pl, ok := e.place(head, head.j.Size, false, false)
 			if !ok && e.cfg.Elastic {
 				// A blocked urgent head (positive priority, or a deadline
 				// still achievable) may checkpoint-requeue strictly-lower-
@@ -1067,6 +1114,13 @@ func (e *Engine) scheduleQueue(now float64) {
 		if e.resvValid && e.resvID == head.j.ID && e.resvEpoch == e.cancelEpoch {
 			shadow, snap, ok = e.resvShadow, e.resvSnap, e.resvOK
 		} else {
+			// Displacement verdicts are about the reservation this replaces;
+			// "no placement" is about the live state alone and stays.
+			for k, v := range e.feasMemo {
+				if v == feasDisplaces {
+					delete(e.feasMemo, k)
+				}
+			}
 			shadow, snap, ok = e.reservation(head)
 			e.resvValid = true
 			e.resvID, e.resvEpoch = head.j.ID, e.cancelEpoch
@@ -1097,12 +1151,13 @@ func (e *Engine) scheduleQueue(now float64) {
 		for i < len(e.queue) && examined < e.window {
 			cand := e.queue[i]
 			examined++
-			pl, ok := e.place(cand, cand.j.Size, false)
+			short := now+cand.eff <= shadow+timeEps
+			pl, ok := e.place(cand, cand.j.Size, false, !short)
 			if !ok {
 				i++
 				continue
 			}
-			if now+cand.eff <= shadow+timeEps {
+			if short {
 				// Finishes before the head's reservation: always safe.
 				e.start(cand, pl, now)
 				e.removeQueued(i)
@@ -1110,6 +1165,7 @@ func (e *Engine) scheduleQueue(now float64) {
 			}
 			if e.cfg.Conservative {
 				e.cfg.Alloc.Release(pl)
+				e.feasUndone()
 				i++
 				continue
 			}
@@ -1120,7 +1176,14 @@ func (e *Engine) scheduleQueue(now float64) {
 				e.removeQueued(i)
 				continue
 			}
+			// Refused. Allocate is a pure function of (live state, size,
+			// class) and the head probe one of (shadow-time clone, that
+			// placement), so every later candidate of this key that runs
+			// past the shadow time is refused too, until the live state
+			// changes or the reservation is recomputed.
 			e.cfg.Alloc.Release(pl)
+			e.feasUndone()
+			e.feasRecord(cand.j.Size, cand.j.ID, feasDisplaces)
 			i++
 		}
 		return
@@ -1191,9 +1254,10 @@ func (e *Engine) whatIf() (a alloc.Allocator, live bool, discard func()) {
 //
 // cached consults and feeds the feasibility cache, and is sound only when a
 // is the live state: versions of a clone are not comparable with the live
-// one's. A verdict memoized outside the pass is then reusable inside it and
-// vice versa. (In practice every release batch bumps the version, so hits
-// within one pass are rare; the consult is O(1) either way.)
+// one's. (Every probe follows a release batch, which moves the version, so a
+// probe inside the pass finds the memo empty, and the rollback's own version
+// bumps discard what it records: the consult keeps the transactional pass's
+// probes in the miss count and is O(1).)
 func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64, ok bool) {
 	byEnd := e.byEnd[:0]
 	for rj := range e.running {
@@ -1217,7 +1281,7 @@ func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64,
 			continue
 		}
 		if cached {
-			if e.feasInfeasible(size, it.j.ID) {
+			if e.feasLookup(size, it.j.ID) == feasNoPlacement {
 				e.acc.FeasCacheHits++
 				continue
 			}
@@ -1229,7 +1293,7 @@ func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64,
 			a.Release(pl)
 			t, ok = end, true
 		} else if cached {
-			e.feasRecordFailure(size, it.j.ID)
+			e.feasRecord(size, it.j.ID, feasNoPlacement)
 		}
 	}
 	// Zero the scratch so completed jobs (and their placements) are not

@@ -113,9 +113,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.gaugeInt("jigsawd_failed_nodes", "Compute nodes currently marked failed.", v.Snap.FailedNodes)
 	mw.gaugeInt("jigsawd_failed_links", "Uplinks (leaf->L2 and L2->spine) currently marked failed.", v.Snap.FailedLinks)
 	mw.gaugeInt("jigsawd_failed_switches", "Whole-switch failures (leaf, L2, or spine) currently active.", v.Snap.FailedSwitches)
-	mw.counter("jigsawd_feasibility_cache_hits_total", "Allocation attempts answered infeasible from the negative-feasibility cache without a search.", int64(v.FeasHits))
+	mw.counter("jigsawd_feasibility_cache_hits_total", "Allocation attempts the negative-feasibility cache refused without a search: no placement, or a backfill placement that displaces the queue head's reservation.", int64(v.FeasHits))
 	mw.counter("jigsawd_feasibility_cache_misses_total", "Feasibility-cache consults that fell through to a real allocator search.", int64(v.FeasMisses))
-	mw.counter("jigsawd_feasibility_cache_invalidations_total", "Times a state-version change discarded cached infeasibility verdicts.", int64(v.FeasInvalidations))
+	mw.counter("jigsawd_feasibility_cache_invalidations_total", "Times a change of the live allocation state discarded cached verdicts; a backfill probe that was charged and released again is not one.", int64(v.FeasInvalidations))
 	mw.counter("jigsawd_ingest_accepted_total", "Operations admitted to the ingest queue.", inAccepted)
 	mw.counter("jigsawd_ingest_rejected_total", "Operations shed with 429 because the ingest queue was full.", inRejected)
 	mw.gaugeInt("jigsawd_ingest_queue_depth", "Operations accepted but not yet applied.", inLen)
