@@ -78,10 +78,12 @@ type Op struct {
 }
 
 // Finish releases the op's producer. The engine goroutine calls it once per
-// op after the op has been applied — and, outside storm backlogs, after the
-// covering snapshot is published, so a producer that wakes and immediately
-// reads /v1/queue sees its own write (under a deep backlog the server defers
-// publishes to a bounded cadence; see internal/server).
+// op after the op has been applied. While the server's lane holds at most
+// 4096 active jobs it is also called after the covering snapshot is
+// published, so a producer that wakes and immediately reads /v1/queue sees
+// its own write. Above that the publish may be deferred, on either clock, by
+// at most the throttle's interval (see internal/server's lane.publish); queue
+// depth alone never defers it.
 func (op *Op) Finish() { op.wg.Done() }
 
 // Batch ties one Enqueue call's ops to a completion signal. Ops may be

@@ -147,12 +147,10 @@ func (c *coordinator) close() {
 	<-c.done
 }
 
-// submit enqueues a wide job and returns its queued status. The effective
-// runtime is computed once here — every slice runs for the same duration.
+// submit enqueues a wide job, its arrival already stamped by validateSubmit,
+// and returns its queued status. The effective runtime is computed once here
+// — every slice runs for the same duration.
 func (c *coordinator) submit(j trace.Job) (engine.JobStatus, error) {
-	if !c.s.cfg.VirtualClock {
-		j.Arrival = c.s.cfg.NowFunc()
-	}
 	cj := &crossJob{j: j, eff: j.Runtime}
 	if c.s.cfg.ApplySpeedups {
 		cj.eff = scenario.IsolatedRuntime(c.s.cfg.Scenario, j)
@@ -531,19 +529,17 @@ func parkAll(lanes []*lane, members []int) ([]*engine.Engine, func(), error) {
 }
 
 // confirm is the live check, run under park. It brings the member clocks to
-// one instant — the furthest member clock (and the job's arrival) in virtual
-// mode, the wall clock otherwise — and then returns the plan to charge: pl
-// itself when no member's state moved since its View, a plan recomposed over
-// the members' live summaries when one did, nil when they no longer hold the
-// job (the lost race).
+// the one instant the clock aligns them to (virtual: the furthest member
+// clock or the job's arrival; wall: now) and then returns the plan to charge:
+// pl itself when no member's state moved since its View, a plan recomposed
+// over the members' live summaries when one did, nil when they no longer hold
+// the job (the lost race).
 func (c *coordinator) confirm(cj *crossJob, pl *plan, engs []*engine.Engine) *plan {
-	now := c.s.cfg.NowFunc()
-	if c.s.cfg.VirtualClock {
-		now = cj.j.Arrival
-		for _, li := range pl.members {
-			now = max(now, engs[li].Now())
-		}
+	latest := cj.j.Arrival
+	for _, li := range pl.members {
+		latest = max(latest, engs[li].Now())
 	}
+	now := c.s.clock.at(latest)
 	moved := false
 	for i, li := range pl.members {
 		// Advancing the clock can start queued shard-local jobs, so the

@@ -169,13 +169,13 @@ func usesSpine(pl *plan, pod, l2, spine int) bool {
 // state invariants.
 func checkLanes(t *testing.T, s *Server) {
 	t.Helper()
-	for _, l := range s.lanes {
+	for li, l := range s.lanes {
 		var err error
 		if derr := l.do(func(e *engine.Engine) { err = e.Config().Alloc.State().CheckInvariants() }); derr != nil {
-			t.Fatalf("lane %d not released: %v", l.idx, derr)
+			t.Fatalf("lane %d not released: %v", li, derr)
 		}
 		if err != nil {
-			t.Fatalf("lane %d state invariants: %v", l.idx, err)
+			t.Fatalf("lane %d state invariants: %v", li, err)
 		}
 	}
 }

@@ -5,6 +5,10 @@ package server
 // front of it, the RCU snapshot publisher behind it, and the per-lane latency
 // instruments. The Server (server.go) is a routing gateway over its lanes and
 // never touches an engine except through one.
+//
+// One loop serves both clocks (loop); its turns take the current instant (or
+// a clock to read it from), so a test can drive a lane turn by turn without
+// the goroutine. What the two clocks disagree on is the clock type's alone.
 
 import (
 	"math"
@@ -15,9 +19,77 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ingest"
-	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
+
+// clock is the daemon's one virtual-or-wall decision: server.New builds it
+// from Config.VirtualClock and Config.NowFunc, and nothing else reads those.
+type clock interface {
+	name() string // what /v1/cluster reports
+	// at is the instant given to a job's asked-for arrival, or to the latest
+	// clock of the lanes the coordinator parked: asked itself, or now.
+	at(asked float64) float64
+	due(e *engine.Engine) int  // delivers what is due before a drain or closure
+	idle(e *engine.Engine) int // advances e when nothing is queued
+	// wait is how long until e next needs a turn, at most maxWait; false
+	// when no event is pending.
+	wait(e *engine.Engine) (time.Duration, bool)
+}
+
+// maxWait caps an idle lane's sleep; woken with nothing due, it sleeps again.
+const maxWait = time.Minute
+
+// newClock is the clock of a Config; a nil now counts seconds from this call.
+func newClock(virtual bool, now func() float64) clock {
+	if virtual {
+		return virtualClock{}
+	}
+	if now == nil {
+		start := time.Now()
+		now = func() float64 { return time.Since(start).Seconds() }
+	}
+	return wallClock{now}
+}
+
+// virtualClock fast-forwards: a job arrives when it asks to, and an idle lane
+// steps its engine one event per turn, "immediately" while events are pending.
+type virtualClock struct{}
+
+func (virtualClock) name() string                                { return "virtual" }
+func (virtualClock) at(asked float64) float64                    { return asked }
+func (virtualClock) due(*engine.Engine) int                      { return 0 }
+func (virtualClock) wait(e *engine.Engine) (time.Duration, bool) { return 0, e.PendingEvents() > 0 }
+
+func (virtualClock) idle(e *engine.Engine) int {
+	if _, ok := e.Step(); ok {
+		return 1
+	}
+	return 0
+}
+
+// wallClock tracks real seconds: every turn first delivers what is due by
+// now, a job arrives when it is submitted, and an idle lane sleeps until its
+// next event.
+type wallClock struct{ now func() float64 }
+
+func (wallClock) name() string                { return "wall" }
+func (c wallClock) at(float64) float64        { return c.now() }
+func (c wallClock) due(e *engine.Engine) int  { return e.AdvanceTo(c.now()) }
+func (c wallClock) idle(e *engine.Engine) int { return c.due(e) }
+
+// wait saturates in float seconds: an event ~292 years away would overflow
+// time.Duration into a negative wait and spin the lane.
+func (c wallClock) wait(e *engine.Engine) (time.Duration, bool) {
+	t, ok := e.NextEventTime()
+	switch d := t - c.now(); {
+	case !ok || d <= 0:
+		return 0, ok
+	case d >= maxWait.Seconds():
+		return maxWait, true
+	default:
+		return time.Duration(math.Ceil(d * float64(time.Second))), true
+	}
+}
 
 // engineReq is one admin closure headed for a lane's engine goroutine.
 type engineReq struct {
@@ -28,10 +100,7 @@ type engineReq struct {
 // lane is one engine, its owning goroutine, and its front-door queues.
 // All publish/drain bookkeeping fields are engine-goroutine-only.
 type lane struct {
-	idx          int
-	cell         shard.Cell
-	virtualClock bool
-	nowFunc      func() float64
+	clock clock
 
 	eng  *engine.Engine
 	reqs chan engineReq
@@ -41,13 +110,13 @@ type lane struct {
 	batcher *ingest.Batcher
 	applier *ingest.Applier
 	pub     *snapshot.Publisher
-	// lastPublish / publishPending / publishCost implement the deep-backlog
-	// publish throttle; engine goroutine only. See publishAfterDrain.
-	// publishPending means a publish is owed: one the throttle deferred, or
-	// events the wall clock delivered just before an admin closure.
+	// The publish throttle's state (see publish): publishPending means a
+	// deferred publish is owed, unpublished counts the events the clock
+	// delivered since the last publish.
 	lastPublish    time.Time
 	publishPending bool
 	publishCost    time.Duration
+	unpublished    int
 
 	// onFree, set once before the loop starts (a server with a coordinator
 	// points it at the coordinator's wake), is called from the engine
@@ -79,22 +148,18 @@ type lane struct {
 	lastDrainEnd time.Time
 }
 
-func newLane(idx int, cell shard.Cell, eng *engine.Engine, virtualClock bool,
-	nowFunc func() float64, ingestQueue, maxBatch int) *lane {
+func newLane(eng *engine.Engine, clk clock, ingestQueue, maxBatch int) *lane {
 	return &lane{
-		idx:          idx,
-		cell:         cell,
-		virtualClock: virtualClock,
-		nowFunc:      nowFunc,
-		eng:          eng,
-		reqs:         make(chan engineReq),
-		quit:         make(chan struct{}),
-		done:         make(chan struct{}),
-		batcher:      ingest.NewBatcher(ingestQueue, maxBatch),
-		applier:      ingest.NewApplier(eng),
-		pub:          snapshot.NewPublisher(eng),
-		latency:      newLatencyHist(),
-		queueWait:    newLatencyHist(),
+		clock:     clk,
+		eng:       eng,
+		reqs:      make(chan engineReq),
+		quit:      make(chan struct{}),
+		done:      make(chan struct{}),
+		batcher:   ingest.NewBatcher(ingestQueue, maxBatch),
+		applier:   ingest.NewApplier(eng),
+		pub:       snapshot.NewPublisher(eng),
+		latency:   newLatencyHist(),
+		queueWait: newLatencyHist(),
 	}
 }
 
@@ -110,21 +175,16 @@ func (l *lane) close() {
 	<-l.done
 }
 
-// loop is the engine goroutine: the only code that touches l.eng.
+// loop is the engine goroutine, the only code that touches l.eng and the only
+// owner of a timer: a priority poll (batch, then admin closure, then quit) so
+// closures cannot starve behind an ingest storm, an idle turn when nothing is
+// queued, and one blocking wait for as long as that turn allows.
 func (l *lane) loop() {
 	defer close(l.done)
-	if l.virtualClock {
-		l.loopVirtual()
-	} else {
-		l.loopWall()
-	}
-}
-
-func (l *lane) loopVirtual() {
 	var buf []*ingest.Op
-	steps := 0
+	timer := time.NewTimer(maxWait)
+	timer.Stop()
 	for {
-		// Queued work takes priority; otherwise fast-forward one event.
 		select {
 		case first := <-l.batcher.C():
 			buf = l.applyBatch(first, buf)
@@ -136,104 +196,55 @@ func (l *lane) loopVirtual() {
 			l.shutdownDrain(buf)
 			return
 		default:
-		}
-		if _, ok := l.eng.Step(); ok {
-			// Publish periodically mid-replay so snapshot readers are
-			// never more than a bounded number of events stale.
-			if steps++; steps >= publishEveryStepsVirtual {
-				l.publishNow()
-				steps = 0
-			}
-			continue
-		}
-		// Idle: make the fully-stepped state visible, then wait. A drain or an
-		// admin closure that stepped nothing afterwards has already published
-		// what it changed.
-		if steps > 0 || l.publishPending {
-			l.publishNow()
-			steps = 0
-		}
-		select {
-		case first := <-l.batcher.C():
-			buf = l.applyBatch(first, buf)
-		case r := <-l.reqs:
-			l.runAdmin(r)
-		case <-l.quit:
-			l.shutdownDrain(buf)
-			return
-		}
-	}
-}
-
-func (l *lane) loopWall() {
-	var buf []*ingest.Op
-	for {
-		// Chase the real clock; publish only if time delivered events.
-		if l.eng.AdvanceTo(l.nowFunc()) > 0 {
-			l.publishNow()
-		}
-		// Storm fast path: while work is already queued, keep draining
-		// without paying for timer churn. Admin requests share the poll so
-		// they cannot starve behind a sustained ingest storm.
-		select {
-		case first := <-l.batcher.C():
-			buf = l.applyBatch(first, buf)
-			continue
-		case r := <-l.reqs:
-			l.runAdmin(r)
-			continue
-		case <-l.quit:
-			l.shutdownDrain(buf)
-			return
-		default:
-		}
-		// Flush a throttled publish once its interval has passed; otherwise
-		// fold the flush deadline into the wake timer so readers see the
-		// settled state even if no further drain arrives.
-		flushIn := time.Duration(-1)
-		if l.publishPending {
-			if flushIn = l.publishInterval() - time.Since(l.lastPublish); flushIn <= 0 {
-				l.publishNow()
-				flushIn = -1
-			}
 		}
 		var wake <-chan time.Time
-		var timer *time.Timer
-		if t, ok := l.eng.NextEventTime(); ok {
-			d := time.Duration((t - l.nowFunc()) * float64(time.Second))
-			if d < 0 {
-				d = 0
+		if d, ok := l.idle(time.Now); ok {
+			if d <= 0 {
+				continue // more is due: the next turn needs no wait
 			}
-			if flushIn >= 0 && flushIn < d {
-				d = flushIn
-			}
-			timer = time.NewTimer(d)
-			wake = timer.C
-		} else if flushIn >= 0 {
-			timer = time.NewTimer(flushIn)
+			timer.Reset(d)
 			wake = timer.C
 		}
 		select {
 		case first := <-l.batcher.C():
-			l.eng.AdvanceTo(l.nowFunc())
 			buf = l.applyBatch(first, buf)
 		case r := <-l.reqs:
-			if l.eng.AdvanceTo(l.nowFunc()) > 0 {
-				l.publishPending = true // time delivered events; runAdmin publishes them
-			}
 			l.runAdmin(r)
 		case <-wake:
+			wake = nil
 		case <-l.quit:
-			if timer != nil {
-				timer.Stop()
-			}
 			l.shutdownDrain(buf)
 			return
 		}
-		if timer != nil {
-			timer.Stop()
+		// Stop, and drain a tick that fired unread, before the next Reset
+		// (go.mod's go 1.22 keeps the buffered timer channel).
+		if wake != nil && !timer.Stop() {
+			<-timer.C
 		}
 	}
+}
+
+// idle is the turn a lane takes when nothing is queued. The clock advances the
+// engine (virtual: one event; wall: to now), and the events it delivered are
+// published under the throttle once publishEveryStepsVirtual have piled up or
+// nothing more is due. It returns how long the lane may wait for its next
+// turn: 0 while events are due, otherwise until the next event or a deferred
+// publish's flush, whichever is sooner; false when nothing will ever be due.
+// It reads now only to publish or to time a flush, so a virtual replay steps
+// without a clock read per event.
+func (l *lane) idle(now func() time.Time) (time.Duration, bool) {
+	l.unpublished += l.clock.idle(l.eng)
+	d, pending := l.clock.wait(l.eng)
+	if l.publishPending || l.unpublished >= publishEveryStepsVirtual || l.unpublished > 0 && !(pending && d == 0) {
+		l.publish(now())
+	}
+	if !l.publishPending {
+		return d, pending
+	}
+	if flush := l.lastPublish.Add(l.publishInterval()).Sub(now()); !pending || flush < d {
+		return flush, true
+	}
+	return d, true
 }
 
 // shown is what a published View shows of an engine, as far as the engine's
@@ -256,15 +267,17 @@ func showing(e *engine.Engine) shown {
 	return v
 }
 
-// runAdmin executes one engine closure and, if it changed what a View shows
-// (or a publish is owed anyway), publishes before releasing the caller, so
-// the response's effects are already visible to snapshot readers. A closure
-// that only reads — a finished job's status lookup — publishes nothing: a
-// capture is O(active jobs) on the goroutine every writer waits for.
+// runAdmin is a closure turn: deliver what the clock says is due, run the
+// closure and, if it changed what a View shows (or a publish is owed anyway),
+// publish before releasing the caller, so the response's effects are already
+// visible to snapshot readers. A closure that only reads — a finished job's
+// status lookup — publishes nothing: a capture is O(active jobs) on the
+// goroutine every writer waits for.
 func (l *lane) runAdmin(r engineReq) {
+	l.unpublished += l.clock.due(l.eng)
 	before := showing(l.eng)
 	r.fn(l.eng)
-	if l.publishPending || showing(l.eng) != before {
+	if l.publishPending || l.unpublished > 0 || showing(l.eng) != before {
 		l.publishNow()
 	}
 	close(r.ran)
@@ -279,7 +292,7 @@ func (l *lane) publishNow() {
 	v := l.pub.Publish(l.eng)
 	l.publishCost = time.Since(t0)
 	l.lastPublish = t0
-	l.publishPending = false
+	l.publishPending, l.unpublished = false, 0
 	if l.onFree != nil {
 		failed := failedResources(v)
 		if v.Snap.FreeNodes > l.lastFreeNodes || failed < l.lastFailedRes {
@@ -294,41 +307,38 @@ func (l *lane) publishNow() {
 // capture cost so capture work stays at most ~1/publishCostMultiple of
 // engine time.
 func (l *lane) publishInterval() time.Duration {
-	d := publishCostMultiple * l.publishCost
-	if d < publishMinInterval {
-		d = publishMinInterval
-	}
-	if d > publishMaxInterval {
-		d = publishMaxInterval
-	}
-	return d
+	return min(max(publishCostMultiple*l.publishCost, publishMinInterval), publishMaxInterval)
 }
 
-// publishAfterDrain publishes the snapshot covering a drain — immediately
-// while the active set is small enough that capture is cheap, and on the
-// adaptive interval once capture cost (O(active jobs)) would otherwise
-// dominate ingest throughput. A deferred publish is flushed by the next
-// drain past the interval, or by the wall loop's flush timer when load
-// pauses, so reader staleness is bounded by publishInterval.
-func (l *lane) publishAfterDrain() {
-	if l.eng.ActiveJobs() <= publishCheapThreshold || time.Since(l.lastPublish) >= l.publishInterval() {
+// publish is the throttle, the one rule for every publish that answers no
+// closure and ends no shutdown, on either clock: publish at once while the
+// active set is small enough that capture is cheap, or once publishInterval
+// has passed since the last publish; otherwise defer. Capture is O(active
+// jobs), and deferring keeps it from dominating ingest under a deep backlog.
+// A deferred publish is flushed by the next drain or idle turn past the
+// interval (idle's deadline includes that instant), never merely because the
+// lane went idle, so reader staleness is bounded by publishInterval.
+func (l *lane) publish(now time.Time) {
+	if l.eng.ActiveJobs() <= publishCheapThreshold || now.Sub(l.lastPublish) >= l.publishInterval() {
 		l.publishNow()
 		return
 	}
 	l.publishPending = true
 }
 
-// applyBatch coalesces everything queued behind first into one engine tick.
+// applyBatch coalesces everything queued behind first into one drain.
 func (l *lane) applyBatch(first *ingest.Op, buf []*ingest.Op) []*ingest.Op {
 	buf = l.batcher.Collect(first, buf)
-	l.runOps(buf)
+	l.drain(time.Now(), buf)
 	return buf
 }
 
-// runOps applies a drained batch, publishes the covering snapshot (possibly
-// deferred under storm backlog; see publishAfterDrain), and releases the
-// waiting producers.
-func (l *lane) runOps(ops []*ingest.Op) {
+// drain is a batch turn: deliver what the clock says is due, apply the ops,
+// publish the covering snapshot under the throttle, and release the waiting
+// producers. The clock is read after the ops were collected, so on the wall
+// clock no op's arrival is later than the engine's time.
+func (l *lane) drain(now time.Time, ops []*ingest.Op) {
+	l.unpublished += l.clock.due(l.eng)
 	for _, op := range ops {
 		tRun := time.Now()
 		l.queueWait.Observe(tRun.Sub(op.EnqueuedAt).Seconds())
@@ -336,7 +346,7 @@ func (l *lane) runOps(ops []*ingest.Op) {
 		l.latency.Observe(time.Since(tRun).Seconds())
 	}
 	l.observeDrain(len(ops))
-	l.publishAfterDrain()
+	l.publish(now)
 	for _, op := range ops {
 		op.Finish()
 	}
@@ -392,15 +402,15 @@ func (l *lane) retryAfterSeconds() int {
 // clients treat the hint as a minimum anyway.
 const maxRetryAfter = 60
 
-// shutdownDrain closes admission, applies every operation the queue already
-// accepted (so no acknowledged enqueue is silently dropped), and publishes
-// the final state.
+// shutdownDrain is the last turn: it closes admission, applies every
+// operation the queue already accepted (so no acknowledged enqueue is silently
+// dropped), and publishes the final state.
 func (l *lane) shutdownDrain(buf []*ingest.Op) {
 	l.batcher.CloseEnqueue()
 	if rest := l.batcher.DrainRemaining(buf); len(rest) > 0 {
-		l.runOps(rest)
+		l.drain(time.Now(), rest)
 	}
-	if l.publishPending {
+	if l.publishPending || l.unpublished > 0 {
 		l.publishNow()
 	}
 }

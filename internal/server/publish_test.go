@@ -111,14 +111,25 @@ func TestParkPublishesWhatItCharged(t *testing.T) {
 	}
 }
 
-// TestPublishThrottle holds more than publishCheapThreshold jobs active on a
-// frozen wall clock. Drains then outnumber publishes, a deferred write
-// becomes visible with no further traffic (the wall loop's flush timer),
-// fail and recover still publish before they answer, and Close publishes a
-// write that is still deferred.
+// TestPublishThrottle holds more than publishCheapThreshold jobs active on
+// either clock: node 15 stays failed, so no whole-machine job can start and
+// no event is ever due. Drains then outnumber publishes, a deferred write
+// becomes visible with no further traffic (the idle turn's deadline, not the
+// lane going idle), fail and recover still publish before they answer, and
+// Close publishes a write that is still deferred.
 func TestPublishThrottle(t *testing.T) {
-	s, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }, IngestQueue: 8192})
+	for _, virtual := range []bool{false, true} {
+		t.Run(fmt.Sprintf("virtual=%v", virtual), func(t *testing.T) {
+			testPublishThrottle(t, virtual)
+		})
+	}
+}
+
+func testPublishThrottle(t *testing.T, virtual bool) {
+	s, hs := newTestServer(t, Config{VirtualClock: virtual, NowFunc: func() float64 { return 0 }, IngestQueue: 8192})
 	l := s.lanes[0]
+	const held = 1 // node 15, failed for the whole test
+	postFailure(t, hs.URL+"/v1/fail", `{"kind":"node","node":15}`)
 	submit := func(id int64) {
 		t.Helper()
 		op := &ingest.Op{Kind: ingest.Submit, Job: trace.Job{ID: id, Size: 16, Runtime: 1e6}, EnqueuedAt: time.Now()}
@@ -131,7 +142,7 @@ func TestPublishThrottle(t *testing.T) {
 			t.Fatal(op.Err)
 		}
 	}
-	// One running, the rest queued: every job stays active.
+	// Every job is held in the queue, so every job stays active.
 	var body strings.Builder
 	body.WriteString(`{"jobs":[`)
 	for id := 1; id <= publishCheapThreshold+100; id++ {
@@ -160,9 +171,13 @@ func TestPublishThrottle(t *testing.T) {
 	}
 	var last int64
 	for try := 0; ; try++ {
+		// Throttled, a publish costs at most 1/publishCostMultiple of the time
+		// and comes at most once per publishMinInterval: far fewer than one
+		// per two drains. A lane that flushes on going idle publishes after
+		// nearly every one-op drain.
 		publishes, id, deferred := burst(200)
-		if publishes >= 200 {
-			t.Fatalf("200 drains over a %d-job active set caused %d publishes: not throttled", next, publishes)
+		if publishes >= 100 {
+			t.Fatalf("200 drains over %d active jobs caused %d publishes: not throttled", len(l.pub.Load().Jobs), publishes)
 		}
 		if last = id; deferred {
 			break
@@ -171,7 +186,8 @@ func TestPublishThrottle(t *testing.T) {
 			t.Fatal("no burst ever ended on a deferred publish")
 		}
 	}
-	// No further traffic: the flush timer alone must make the write visible.
+	// No further traffic: the idle turn's deadline alone must make the write
+	// visible.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, ok := l.pub.Load().Jobs[last]; ok {
@@ -191,8 +207,8 @@ func TestPublishThrottle(t *testing.T) {
 	}{{"/v1/fail", 1}, {"/v1/recover", 0}} {
 		burst(20) // leave the lane inside a throttle interval
 		postFailure(t, hs.URL+step.path, node)
-		if got := l.pub.Load().Snap.FailedNodes; got != step.failed {
-			t.Fatalf("%s answered with %d failed nodes published, want %d", step.path, got, step.failed)
+		if got := l.pub.Load().Snap.FailedNodes; got != held+step.failed {
+			t.Fatalf("%s answered with %d failed nodes published, want %d", step.path, got, held+step.failed)
 		}
 	}
 

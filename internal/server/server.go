@@ -36,14 +36,14 @@
 // The shard-count differential tests pin that the gateway over one lane
 // schedules exactly like the bare engine.
 //
-// Each lane drives time in one of two ways:
+// Time is one value, the clock New builds from Config.VirtualClock and
+// Config.NowFunc (lane.go). Every lane runs one loop and asks the clock:
 //
-//   - virtual clock (Config.VirtualClock): whenever nothing is queued, the
-//     lane steps its engine to the next event, fast-forwarding through
-//     arrivals and completions as fast as the allocator can place them.
-//   - wall clock: the engine's virtual time tracks real seconds since the
-//     server started; a timer wakes the goroutine for the next completion,
-//     and every drain first advances the engine to the current wall time.
+//   - virtual: a job arrives when it asks to, and an idle lane steps its
+//     engine to the next event as fast as the allocator places jobs.
+//   - wall: engine time is real seconds (NowFunc); a job arrives when it is
+//     submitted, every turn first delivers what is due by now, and an idle
+//     lane sleeps until its next event (at most a minute, then looks again).
 //
 // # API
 //
@@ -150,8 +150,8 @@ const (
 	// with the measured capture cost (publishCostMultiple × the previous
 	// capture's duration) so that publish overhead stays a bounded fraction
 	// of engine time no matter how deep the backlog gets, clamped at
-	// publishMaxInterval. A deferred publish is flushed by the next drain
-	// past the interval, or by a wall-loop flush timer if load pauses.
+	// publishMaxInterval. A deferred publish is flushed by the next drain or
+	// idle turn past the interval, on either clock (lane.publish).
 	publishMinInterval  = 25 * time.Millisecond
 	publishCostMultiple = 20
 	publishMaxInterval  = time.Second
@@ -226,6 +226,8 @@ type Server struct {
 	tree  *topology.FatTree
 	cells []shard.Cell
 	lanes []*lane
+	// clock is the one virtual-or-wall decision (lane.go).
+	clock clock
 
 	// maxCell is the widest job a single lane can host; wider jobs go
 	// cross-shard.
@@ -254,10 +256,6 @@ func New(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.NowFunc == nil {
-		start := time.Now()
-		cfg.NowFunc = func() float64 { return time.Since(start).Seconds() }
-	}
 	if cfg.IngestQueue <= 0 {
 		cfg.IngestQueue = defaultIngestQueue
 	}
@@ -282,6 +280,7 @@ func New(cfg Config) (*Server, error) {
 		tree:      tree,
 		cells:     cells,
 		maxCell:   shard.MaxCellNodes(tree, cells),
+		clock:     newClock(cfg.VirtualClock, cfg.NowFunc),
 		httpStats: newHTTPStats(),
 	}
 	s.lanes = make([]*lane, len(cells))
@@ -313,7 +312,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.lanes[i] = newLane(i, c, eng, cfg.VirtualClock, cfg.NowFunc, cfg.IngestQueue, cfg.MaxBatch)
+		s.lanes[i] = newLane(eng, s.clock, cfg.IngestQueue, cfg.MaxBatch)
 	}
 	if len(cells) > 1 {
 		// Only with more than one lane can a job live anywhere but lane 0 or
@@ -436,15 +435,8 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 		return err
 	}
 	s.log.Info("listening", "addr", ln.Addr().String(), "policy", s.cfg.Alloc.Name(),
-		"nodes", s.cfg.Alloc.Tree().Nodes(), "clock", s.clockName(), "shards", len(s.lanes))
+		"nodes", s.cfg.Alloc.Tree().Nodes(), "clock", s.clock.name(), "shards", len(s.lanes))
 	return s.Serve(ctx, ln)
-}
-
-func (s *Server) clockName() string {
-	if s.cfg.VirtualClock {
-		return "virtual"
-	}
-	return "wall"
 }
 
 // statusWriter captures the response code for logs and metrics.
@@ -545,7 +537,7 @@ type submitRequest struct {
 }
 
 // validateSubmit applies the admission checks shared by the single and
-// batch submit endpoints, clamping Arrival in wall mode.
+// batch submit endpoints, and stamps Arrival by the clock (wall: now).
 func (s *Server) validateSubmit(req *submitRequest) error {
 	if req.Size < 1 {
 		return errors.New("size must be at least 1")
@@ -582,9 +574,7 @@ func (s *Server) validateSubmit(req *submitRequest) error {
 			return errors.New("deadline must be non-negative")
 		}
 	}
-	if !s.cfg.VirtualClock {
-		req.Arrival = 0 // clamped to the engine's current wall time
-	}
+	req.Arrival = s.clock.at(req.Arrival)
 	return nil
 }
 
@@ -946,7 +936,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	seq, version, published := snapshotMeta(v)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"policy":       s.cfg.Alloc.Name(),
-		"clock":        s.clockName(),
+		"clock":        s.clock.name(),
 		"shards":       len(s.lanes),
 		"radix":        tree.Radix,
 		"nodes":        v.Snap.TotalNodes,

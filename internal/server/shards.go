@@ -18,9 +18,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	for i, l := range s.lanes {
 		v := l.pub.Load()
 		shards[i] = map[string]any{
-			"shard":         l.idx,
-			"pod_lo":        l.cell.PodLo,
-			"pod_hi":        l.cell.PodHi,
+			"shard":         i,
+			"pod_lo":        s.cells[i].PodLo,
+			"pod_hi":        s.cells[i].PodHi,
 			"nodes":         v.Snap.TotalNodes,
 			"used_nodes":    v.Snap.UsedNodes,
 			"free_nodes":    v.Snap.FreeNodes,
