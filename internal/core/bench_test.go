@@ -13,7 +13,9 @@ import (
 // empty machine (hit on the first viable factorization); the miss case runs
 // on a machine fragmented so that no whole leaf is free, forcing a full
 // exhaustive scan — the shape the engine's feasibility cache exists to
-// avoid repeating. allocs/op must be 0 for all of them in steady state.
+// avoid repeating — warm, with one pod changed since the last search, and
+// with every pod changed. allocs/op must be 0 for all of them in steady
+// state.
 func BenchmarkSearch(b *testing.B) {
 	for _, radix := range []int{16, 32, 64} {
 		tree := topology.MustNew(radix)
@@ -61,23 +63,31 @@ func BenchmarkSearch(b *testing.B) {
 			})
 		}
 
-		// miss-cold defeats the scratch's epoch cache: a one-node churn
-		// placement bumps the state version every iteration, so each search
-		// pays the full summary rebuild — the first-probe miss cost the
-		// steady-state miss case no longer shows.
-		b.Run(fmt.Sprintf("radix=%d/miss-cold", radix), func(b *testing.B) {
-			sc := &core.Scratch{}
+		// The miss again after a charge and release of churn nodes, so the
+		// scratch's per-pod summaries are stale where the churn landed:
+		// miss-one-pod-dirty churns one node of leaf 0 (one pod to rebuild,
+		// the common case after a start or completion); miss-cold churns one
+		// node in every pod, so every search pays the full summary rebuild.
+		for _, c := range []struct {
+			name string
+			pods int
+		}{{"miss-one-pod-dirty", 1}, {"miss-cold", tree.Pods}} {
 			churn := topology.NewPlacement(2, 1)
-			churn.AddLeafNodes(0, 1)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				churn.Apply(frag)
-				churn.Release(frag)
-				_, ok := core.Search(frag, 1, podNodes, false, core.DefaultSearchBudget, sc)
-				if ok {
-					b.Fatalf("size %d: expected miss", podNodes)
-				}
+			for p := 0; p < c.pods; p++ {
+				churn.AddLeafNodes(tree.LeafIndex(p, 0), 1)
 			}
-		})
+			b.Run(fmt.Sprintf("radix=%d/%s", radix, c.name), func(b *testing.B) {
+				sc := &core.Scratch{}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					churn.Apply(frag)
+					churn.Release(frag)
+					_, ok := core.Search(frag, 1, podNodes, false, core.DefaultSearchBudget, sc)
+					if ok {
+						b.Fatalf("size %d: expected miss", podNodes)
+					}
+				}
+			})
+		}
 	}
 }

@@ -86,10 +86,10 @@ func buildFuzzState(t *testing.T, fd *byteFeed) (*topology.State, int32) {
 }
 
 // checkPrunedMatchesUnpruned runs a handful of fuzz-chosen searches against
-// st with the pruned search (shared scratch, exercising the epoch cache) and
-// the unpruned reference (fresh noBounds scratch each time) and requires
-// identical outcomes: same hit/miss verdict and, on a hit, the same
-// partition bit for bit.
+// st with the pruned search (shared scratch, exercising its remembered
+// summaries) and the unpruned reference (fresh noBounds scratch each time)
+// and requires identical outcomes: same hit/miss verdict and, on a hit, the
+// same partition bit for bit.
 func checkPrunedMatchesUnpruned(t *testing.T, st *topology.State, capacity int32, fd *byteFeed) {
 	tree := st.Tree
 	pruned := &Scratch{}

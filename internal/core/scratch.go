@@ -18,13 +18,13 @@ import (
 //
 // Beyond buffers, a Scratch caches per-pod machine summaries — leaf free
 // counts, demand-filtered uplink masks, width histograms, whole-leaf lists,
-// and spine masks — keyed by (state, state version, demand); see
-// summaries.go. Within one Search call the state cannot change, so every
-// factorization reads the summaries the first one computed; across calls the
-// state's monotone version counter invalidates them exactly when a mutation
-// happened. The summaries feed the admissibility bounds of DESIGN.md §15,
-// which let the search reject provably-infeasible pods and factorizations
-// without entering the backtracking recursion.
+// and spine masks — for one (state, demand) pair, each pod's stamped with the
+// state's version for that pod; see summaries.go. Within one Search call the
+// state cannot change, so every factorization reads the summaries the first
+// one computed; across calls a pod's summary is rebuilt exactly when a
+// mutation touched that pod. The summaries feed the admissibility bounds of
+// DESIGN.md §15, which let the search reject provably-infeasible pods and
+// factorizations without entering the backtracking recursion.
 //
 // Aliasing contract: the *partition.Partition a search returns points into
 // the Scratch it ran on and is valid only until the next search on that
@@ -55,16 +55,14 @@ type Scratch struct {
 	// only ever skips provably-infeasible subtrees.
 	noBounds bool
 
-	// Per-epoch machine summaries (see summaries.go). sumSt/sumVer/sumDemand
-	// identify the (state, version, demand) the summaries describe; epoch
-	// advances when they go stale, and podStamp marks which pods have been
-	// summarized in the current epoch — pods are summarized lazily, so a
-	// first-factorization two-level hit never pays for the whole machine.
+	// Machine summaries (see summaries.go). sumSt/sumDemand identify the
+	// (state, demand) they describe, and podSeen[p] is 1 + the PodVersion
+	// pod p was summarized at (0: not since the last reset). Pods are
+	// summarized lazily, so a first-factorization two-level hit never pays
+	// for the whole machine, and only pods whose version moved are redone.
 	sumSt     *topology.State
-	sumVer    uint64
 	sumDemand int32
-	epoch     uint32
-	podStamp  []uint32
+	podSeen   []uint64
 
 	lfFree      []int32  // per-leaf free-node count; global leaf index
 	lfUp        []uint64 // per-leaf demand-filtered uplink mask
@@ -75,9 +73,13 @@ type Scratch struct {
 	spine       []uint64 // per-(pod, L2) free-spine masks, stride L2PerPod
 	minSpinePop []int32  // per-pod min over L2 of popcount(spine)
 
-	// Cross-pod aggregates for the three-level factorization bounds, built
-	// once per epoch after every pod is summarized (see ensureAggregates).
-	aggStamp    uint32
+	// Cross-pod aggregates for the three-level factorization bounds. The raw
+	// counts cover every summarized pod and move with each pod rebuild
+	// (ensurePod); the histograms are their suffix sums, redone by
+	// ensureAggregates only while aggStale.
+	nFreeCnt    []int32 // #pods with nFree == n; len LeavesPerPod+2
+	spinePopRaw []int32 // per-L2: #pods with popcount(spine) == c; stride SpinesPerGroup+2
+	aggStale    bool
 	nFreeHist   []int32 // #pods with nFree >= n; len LeavesPerPod+2
 	spinePopCnt []int32 // per-L2: #pods with popcount(spine) >= c; stride SpinesPerGroup+2
 
@@ -116,9 +118,9 @@ func (sc *Scratch) ensure(t *topology.FatTree) {
 		return
 	}
 	sc.tree = t
-	sc.sumSt, sc.epoch, sc.aggStamp = nil, 0, 0
+	sc.sumSt = nil
 	leaves := t.Leaves()
-	sc.podStamp = make([]uint32, t.Pods)
+	sc.podSeen = make([]uint64, t.Pods)
 	sc.lfFree = make([]int32, leaves)
 	sc.lfUp = make([]uint64, leaves)
 	sc.lfCap = make([]int32, leaves)
@@ -127,6 +129,8 @@ func (sc *Scratch) ensure(t *topology.FatTree) {
 	sc.nFree = make([]int, t.Pods)
 	sc.spine = make([]uint64, t.Pods*t.L2PerPod)
 	sc.minSpinePop = make([]int32, t.Pods)
+	sc.nFreeCnt = make([]int32, t.LeavesPerPod+2)
+	sc.spinePopRaw = make([]int32, t.L2PerPod*(t.SpinesPerGroup+2))
 	sc.nFreeHist = make([]int32, t.LeavesPerPod+2)
 	sc.spinePopCnt = make([]int32, t.L2PerPod*(t.SpinesPerGroup+2))
 	sc.chosenL = make([]int, 0, t.LeavesPerPod)

@@ -66,7 +66,7 @@ func FindTwoLevel(st *topology.State, demand int32, pod, LT, nL, nrL int, steps 
 		sc = &Scratch{}
 	}
 	sc.ensure(t)
-	sc.syncEpoch(st, demand)
+	sc.syncState(st, demand)
 	sc.ensurePod(pod)
 	base := pod * t.LeavesPerPod
 	var elig uint64
@@ -232,7 +232,7 @@ func FindThreeLevel(st *topology.State, demand int32, T, LT, LrT, nrL int, steps
 		sc = &Scratch{}
 	}
 	sc.ensure(t)
-	sc.syncEpoch(st, demand)
+	sc.syncState(st, demand)
 	for p := 0; p < t.Pods; p++ {
 		sc.ensurePod(p)
 	}
@@ -243,7 +243,7 @@ func FindThreeLevel(st *topology.State, demand int32, T, LT, LrT, nrL int, steps
 		// Factorization bounds (DESIGN.md §15): T pods with LT whole-free
 		// leaves (one more with LrT for the remainder tree), and at every L2
 		// index enough pods whose spine group still has LT (resp. LrT) free
-		// spines — all necessary conditions read off the epoch histograms.
+		// spines — all necessary conditions read off the cross-pod histograms.
 		if sc.nFreeHist[LT] < int32(T) {
 			return nil, false
 		}
@@ -264,8 +264,8 @@ func FindThreeLevel(st *topology.State, demand int32, T, LT, LrT, nrL int, steps
 	// Pod eligibility for the full-tree recursion, with suffix counts for
 	// the branch-and-bound cutoff. A pod whose minimum spine popcount is
 	// below LT would fail the intersection check on every L2 pass, so the
-	// pruned search rejects it here, once, for all factorizations of this
-	// epoch that reach it.
+	// pruned search rejects it here, once per factorization, before the
+	// recursion reaches it.
 	sc.podEligTail[t.Pods] = 0
 	for p := t.Pods - 1; p >= 0; p-- {
 		ok := sc.nFree[p] >= LT

@@ -6,47 +6,53 @@ import (
 	"repro/internal/topology"
 )
 
-// This file maintains the Scratch's per-epoch machine summaries: the per-pod
-// and per-leaf availability views the search kernels read instead of
-// re-querying the state for every (nL, pod) factorization, plus the
-// histograms behind the admissibility bounds of DESIGN.md §15.
+// This file maintains the Scratch's machine summaries: the per-pod and
+// per-leaf availability views the search kernels read instead of re-querying
+// the state for every (nL, pod) factorization, plus the cross-pod histograms
+// behind the admissibility bounds of DESIGN.md §15.
 //
-// An epoch is one (state, state version, demand) triple. The state's version
-// counter is bumped by every mutator — including rollbacks, which replay
-// through mutators and land on fresh values — so "same pointer, same
-// version" certifies that every availability index reads exactly as it did
-// when the summaries were computed. Pods are summarized lazily (podStamp)
-// because the common two-level hit touches one pod; the three-level pass
-// summarizes all pods and then folds them into cross-pod aggregates
-// (aggStamp) once per epoch.
+// The summaries describe one (state, demand) pair, and each pod's are
+// stamped with the state's PodVersion for that pod. Every mutator of the
+// state moves the version of the pod it changed — rollbacks included, which
+// replay through mutators and land on fresh values — so "same pointer, same
+// pod version" certifies that every availability index of the pod reads
+// exactly as it did when its summary was computed. A search therefore
+// rebuilds only the pods that changed since the Scratch last looked at them,
+// and only when it reaches them: the common two-level hit touches one pod.
+// The cross-pod aggregates are kept as raw per-value counts that each pod
+// rebuild corrects by the pod's old and new contribution; the histograms the
+// bounds read are their suffix sums, recomputed only after some pod was
+// rebuilt.
 
-// syncEpoch starts a new epoch if the cached summaries do not describe
-// (st, st.Version(), demand); otherwise it keeps the current one.
-func (sc *Scratch) syncEpoch(st *topology.State, demand int32) {
-	if sc.sumSt == st && sc.sumVer == st.Version() && sc.sumDemand == demand {
+// syncState points the summaries at (st, demand). Any other pair than the
+// one they describe — another state, another demand, or a Scratch fresh from
+// ensure — forgets every pod; the same pair keeps them all, each to be
+// checked against its pod version when a search reaches it.
+func (sc *Scratch) syncState(st *topology.State, demand int32) {
+	if sc.sumSt == st && sc.sumDemand == demand {
 		return
 	}
-	sc.sumSt, sc.sumVer, sc.sumDemand = st, st.Version(), demand
-	sc.epoch++
-	if sc.epoch == 0 {
-		// The 32-bit epoch wrapped: stale stamps from 4 billion epochs ago
-		// would read as current, so reset them all.
-		clear(sc.podStamp)
-		sc.aggStamp = 0
-		sc.epoch = 1
-	}
+	sc.sumSt, sc.sumDemand = st, demand
+	clear(sc.podSeen)
+	clear(sc.nFreeCnt)
+	clear(sc.spinePopRaw)
+	sc.aggStale = true
 }
 
-// ensurePod computes pod p's summaries for the current epoch if they are
-// stale: leaf free counts, uplink masks, widths, the pod's width histogram,
-// its whole-leaf list, its spine masks, and its minimum spine popcount.
-// One O(LeavesPerPod + L2PerPod) scan per pod per epoch replaces the same
-// scan per factorization.
+// ensurePod computes pod p's summaries if the pod changed since they were
+// computed (or never was): leaf free counts, uplink masks, widths, the pod's
+// width histogram, its whole-leaf list, its spine masks, and its minimum
+// spine popcount. One O(LeavesPerPod + L2PerPod) scan per pod change replaces
+// the same scan per factorization.
 func (sc *Scratch) ensurePod(p int) {
-	if sc.podStamp[p] == sc.epoch {
+	seen := sc.sumSt.PodVersion(p) + 1
+	if sc.podSeen[p] == seen {
 		return
 	}
-	sc.podStamp[p] = sc.epoch
+	// A pod summarized before is in the raw cross-pod counts: its old
+	// contribution comes out as the new one goes in.
+	counted := sc.podSeen[p] != 0
+	sc.podSeen[p] = seen
 	t, st, demand := sc.tree, sc.sumSt, sc.sumDemand
 	npl := int32(t.NodesPerLeaf)
 	full := t.HalfMask()
@@ -72,53 +78,51 @@ func (sc *Scratch) ensurePod(p int) {
 			n++
 		}
 	}
-	sc.nFree[p] = n
-	// Suffix-sum the width histogram so hist[n] counts leaves of width >= n.
-	for c := t.NodesPerLeaf; c >= 0; c-- {
-		hist[c] += hist[c+1]
+	if counted {
+		sc.nFreeCnt[sc.nFree[p]]--
 	}
+	sc.nFree[p] = n
+	sc.nFreeCnt[n]++
+	// hist[n] counts leaves of width >= n.
+	suffixSum(hist, hist)
 	sbase := p * t.L2PerPod
-	minPop := int32(t.SpinesPerGroup + 1)
+	spg := t.SpinesPerGroup + 2
+	minPop := t.SpinesPerGroup + 1
 	for i := 0; i < t.L2PerPod; i++ {
+		if counted {
+			sc.spinePopRaw[i*spg+bits.OnesCount64(sc.spine[sbase+i])]--
+		}
 		m := st.SpineMask(p, i, demand)
 		sc.spine[sbase+i] = m
-		if pc := int32(bits.OnesCount64(m)); pc < minPop {
-			minPop = pc
-		}
+		pc := bits.OnesCount64(m)
+		sc.spinePopRaw[i*spg+pc]++
+		minPop = min(minPop, pc)
 	}
-	sc.minSpinePop[p] = minPop
+	sc.minSpinePop[p] = int32(minPop)
+	sc.aggStale = true
 }
 
-// ensureAggregates folds the per-pod summaries into the cross-pod histograms
-// the three-level factorization bounds read: nFreeHist[n] counts pods with at
-// least n whole-free leaves, and spinePopCnt[i][c] counts pods whose L2 index
-// i has at least c free spines. Every pod must be summarized first.
+// ensureAggregates brings the cross-pod histograms the three-level
+// factorization bounds read up to the raw counts: nFreeHist[n] counts pods
+// with at least n whole-free leaves, and spinePopCnt[i][c] counts pods whose
+// L2 index i has at least c free spines. Every pod must be current first.
 func (sc *Scratch) ensureAggregates() {
-	if sc.aggStamp == sc.epoch {
+	if !sc.aggStale {
 		return
 	}
-	sc.aggStamp = sc.epoch
-	t := sc.tree
-	clear(sc.nFreeHist)
-	for p := 0; p < t.Pods; p++ {
-		sc.nFreeHist[sc.nFree[p]]++
+	sc.aggStale = false
+	suffixSum(sc.nFreeHist, sc.nFreeCnt)
+	spg := sc.tree.SpinesPerGroup + 2
+	for i := 0; i < sc.tree.L2PerPod; i++ {
+		suffixSum(sc.spinePopCnt[i*spg:(i+1)*spg], sc.spinePopRaw[i*spg:(i+1)*spg])
 	}
-	for n := t.LeavesPerPod; n >= 0; n-- {
-		sc.nFreeHist[n] += sc.nFreeHist[n+1]
-	}
-	spg := t.SpinesPerGroup + 2
-	clear(sc.spinePopCnt)
-	for p := 0; p < t.Pods; p++ {
-		sbase := p * t.L2PerPod
-		for i := 0; i < t.L2PerPod; i++ {
-			c := bits.OnesCount64(sc.spine[sbase+i])
-			sc.spinePopCnt[i*spg+c]++
-		}
-	}
-	for i := 0; i < t.L2PerPod; i++ {
-		cnt := sc.spinePopCnt[i*spg : (i+1)*spg]
-		for c := t.SpinesPerGroup; c >= 0; c-- {
-			cnt[c] += cnt[c+1]
-		}
+}
+
+// suffixSum sets dst[n] to the sum of src[n:]; dst may be src.
+func suffixSum(dst, src []int32) {
+	var acc int32
+	for n := len(src) - 1; n >= 0; n-- {
+		acc += src[n]
+		dst[n] = acc
 	}
 }

@@ -1368,12 +1368,3 @@ func (e *Engine) SteadyUtilization() float64 {
 func (e *Engine) StateVersion() uint64 {
 	return e.cfg.Alloc.State().Version()
 }
-
-// PodSummaries appends the allocation state's per-pod free-capacity
-// summaries (cell-range pods only) to dst and returns it. Paired with
-// StateVersion, the result lets an observer reason about sub-pod placement
-// feasibility without holding the engine: if the version has not moved, the
-// summarized leaves and spine uplinks are still exactly as reported.
-func (e *Engine) PodSummaries(dst []topology.PodSummary) []topology.PodSummary {
-	return e.cfg.Alloc.State().PodSummaries(dst)
-}

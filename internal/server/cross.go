@@ -552,7 +552,7 @@ func (c *coordinator) confirm(cj *crossJob, pl *plan, engs []*engine.Engine) *pl
 	}
 	var live []topology.PodSummary
 	for _, li := range pl.members {
-		live = engs[li].PodSummaries(live)
+		live = append(live, c.s.lanes[li].pub.PodSummaries(engs[li])...)
 	}
 	p, err := shard.ComposeSubPod(c.s.tree, live, pl.size)
 	if err != nil {

@@ -16,6 +16,7 @@
 package snapshot
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -68,6 +69,11 @@ type Publisher struct {
 	seq uint64
 	// pods makes capture include per-pod free summaries (View.Pods).
 	pods bool
+	// What PodSummaries derived last: the state, the summaries of its cell's
+	// pods, and for each 1 + the PodVersion it was derived at (0: never).
+	podSt   *topology.State
+	podSums []topology.PodSummary
+	podSeen []uint64
 }
 
 // CapturePodSummaries makes every subsequent Publish include View.Pods.
@@ -95,7 +101,7 @@ func (p *Publisher) capture(e *engine.Engine) *View {
 		Snap:         e.Snapshot(),
 	}
 	if p.pods {
-		v.Pods = e.PodSummaries(nil)
+		v.Pods = p.PodSummaries(e)
 	}
 	v.UtilNow = e.UtilizationTo(v.Snap.Now)
 	v.UtilSteady = e.SteadyUtilization()
@@ -111,6 +117,32 @@ func (p *Publisher) capture(e *engine.Engine) *View {
 		v.Jobs[st.Job.ID] = st
 	}
 	return v
+}
+
+// PodSummaries returns the engine's per-pod free-capacity summaries
+// (cell-range pods only) in a fresh slice: equal to State.PodSummaries, but
+// re-deriving only the pods whose PodVersion moved since the previous call.
+// An unchanged pod's summary is the one returned before, SpineFree slice
+// included, which is safe because a summary is never mutated. Paired with
+// Engine.StateVersion, the result lets an observer reason about sub-pod
+// placement feasibility without holding the engine. Only the goroutine that
+// owns the engine may call it: the engine goroutine, or a coordinator
+// holding the lane parked.
+func (p *Publisher) PodSummaries(e *engine.Engine) []topology.PodSummary {
+	return p.podSummaries(e.Config().Alloc.State())
+}
+
+func (p *Publisher) podSummaries(st *topology.State) []topology.PodSummary {
+	lo, hi := st.CellRange()
+	if p.podSt != st {
+		p.podSt, p.podSums, p.podSeen = st, make([]topology.PodSummary, hi-lo), make([]uint64, hi-lo)
+	}
+	for i := range p.podSums {
+		if v := st.PodVersion(lo+i) + 1; p.podSeen[i] != v {
+			p.podSums[i], p.podSeen[i] = st.SummarizePod(lo+i), v
+		}
+	}
+	return slices.Clone(p.podSums)
 }
 
 // Publish captures the engine's state and swaps it in as the current View.

@@ -42,6 +42,11 @@ type FatTree struct {
 	// SpinesPerGroup is the number of spines in each group (Radix/2). There
 	// are L2PerPod groups, one per L2 index.
 	SpinesPerGroup int
+
+	// leafPod maps a global leaf index to its pod: every State mutator needs
+	// the pod it changed (State.touch), and a table read is several times
+	// cheaper than the integer division it replaces.
+	leafPod []int32
 }
 
 // New returns the full three-level fat-tree built from switches of the given
@@ -55,14 +60,19 @@ func New(radix int) (*FatTree, error) {
 		return nil, fmt.Errorf("topology: radix %d exceeds supported maximum 128", radix)
 	}
 	h := radix / 2
-	return &FatTree{
+	t := &FatTree{
 		Radix:          radix,
 		Pods:           radix,
 		LeavesPerPod:   h,
 		NodesPerLeaf:   h,
 		L2PerPod:       h,
 		SpinesPerGroup: h,
-	}, nil
+		leafPod:        make([]int32, radix*h),
+	}
+	for l := range t.leafPod {
+		t.leafPod[l] = int32(l / h)
+	}
+	return t, nil
 }
 
 // MustNew is like New but panics on error. It is intended for tests and
@@ -102,7 +112,7 @@ func (t *FatTree) Spines() int { return t.L2PerPod * t.SpinesPerGroup }
 func (t *FatTree) LeafIndex(pod, leaf int) int { return pod*t.LeavesPerPod + leaf }
 
 // LeafPod returns the pod that a global leaf index belongs to.
-func (t *FatTree) LeafPod(leafIdx int) int { return leafIdx / t.LeavesPerPod }
+func (t *FatTree) LeafPod(leafIdx int) int { return int(t.leafPod[leafIdx]) }
 
 // LeafInPod returns the within-pod index of a global leaf index.
 func (t *FatTree) LeafInPod(leafIdx int) int { return leafIdx % t.LeavesPerPod }

@@ -37,21 +37,28 @@ type PodSummary struct {
 func (s *State) PodSummaries(dst []PodSummary) []PodSummary {
 	lo, hi := s.CellRange()
 	for pod := lo; pod < hi; pod++ {
-		ps := PodSummary{Pod: pod}
-		base := pod * s.Tree.LeavesPerPod
-		for l := 0; l < s.Tree.LeavesPerPod; l++ {
-			if s.FullyFreeLeaf(base + l) {
-				ps.LeafMask |= 1 << l
-				ps.FreeLeaves++
-			}
-		}
-		if !s.PodSpinesFree(pod) {
-			ps.SpineFree = make([]uint64, s.Tree.L2PerPod)
-			for i := 0; i < s.Tree.L2PerPod; i++ {
-				ps.SpineFree[i] = s.SpineMask(pod, i, s.Capacity)
-			}
-		}
-		dst = append(dst, ps)
+		dst = append(dst, s.SummarizePod(pod))
 	}
 	return dst
+}
+
+// SummarizePod returns one pod's summary, detached from the state like
+// PodSummaries'. Paired with PodVersion it lets a caller keep summaries and
+// re-derive only the pods that changed (internal/snapshot does).
+func (s *State) SummarizePod(pod int) PodSummary {
+	ps := PodSummary{Pod: pod}
+	base := pod * s.Tree.LeavesPerPod
+	for l := 0; l < s.Tree.LeavesPerPod; l++ {
+		if s.FullyFreeLeaf(base + l) {
+			ps.LeafMask |= 1 << l
+			ps.FreeLeaves++
+		}
+	}
+	if !s.PodSpinesFree(pod) {
+		ps.SpineFree = make([]uint64, s.Tree.L2PerPod)
+		for i := 0; i < s.Tree.L2PerPod; i++ {
+			ps.SpineFree[i] = s.SpineMask(pod, i, s.Capacity)
+		}
+	}
+	return ps
 }

@@ -53,15 +53,21 @@ import (
 // scheduler's reservation and backfill displacement checks run inside such
 // transactions on the live state instead of deep-cloning it.
 //
-// # Version counter
+// # Version counters
 //
-// Version() is a monotone mutation counter: every take/return mutator bumps
-// it, so two reads returning the same value bracket a window in which the
-// state provably did not change. Clone copies the current value (the copies
-// then advance independently), and Rollback bumps it once per undone entry —
-// the restored state reports a version it never reported before, which is
-// conservative and always safe for consumers that cache "size N failed at
-// version V" verdicts (see internal/engine's feasibility cache).
+// Version() is a monotone mutation counter, and PodVersion(p) is the value it
+// had when pod p last changed. Every take/return mutator goes through one
+// touch(pod): it bumps the counter and stamps the pod it changed, so two reads
+// of Version() returning the same value bracket a window in which the state
+// provably did not change, and two reads of PodVersion(p) bracket a window in
+// which pod p did not. Failure specs, cell restriction and Rollback all work
+// through the mutators, so they need no code of their own here: a spine-switch
+// spec touches every pod of the cell, and Rollback touches each pod once per
+// undone entry — a restored pod reports a version it never reported before,
+// which is conservative and always safe for consumers that cache "size N
+// failed at version V" verdicts (internal/engine's feasibility memo) or
+// per-pod summaries (internal/core's Scratch, internal/snapshot's pod
+// summaries). Clone copies both (the copies then advance independently).
 //
 // The zero State is not usable; construct with NewState. State is not safe
 // for concurrent use.
@@ -108,11 +114,13 @@ type State struct {
 	txnActive bool
 	journal   []journalEntry
 
-	// version is the monotone mutation counter behind Version(); every
-	// take/return mutator bumps it (including the undo mutators Rollback
-	// replays, which is what makes a rolled-back state report a fresh,
-	// never-before-seen version).
+	// version is the monotone mutation counter behind Version(), and
+	// podVer[p] the value it had when pod p last changed. Only touch writes
+	// either; every take/return mutator calls it (including the undo
+	// mutators Rollback replays, which is what makes a rolled-back pod report
+	// a fresh, never-before-seen version).
 	version uint64
+	podVer  []uint64
 
 	// cellLo/cellHi bound the pod range this state schedules when it has
 	// been restricted to a cell (see cell.go); cellHi == 0 means
@@ -161,6 +169,7 @@ func NewState(tree *FatTree, capacity int32) *State {
 		podFullLeaves: make([]int32, tree.Pods),
 		podFree:       make([]int32, tree.Pods),
 		podSpineBusy:  make([]int32, tree.Pods),
+		podVer:        make([]uint64, tree.Pods),
 	}
 	full := tree.HalfMask()
 	for l := range s.freeNode {
@@ -279,6 +288,7 @@ func (s *State) Clone() *State {
 		podSpineBusy:  append([]int32(nil), s.podSpineBusy...),
 		scanQueries:   s.scanQueries,
 		version:       s.version,
+		podVer:        append([]uint64(nil), s.podVer...),
 		cellLo:        s.cellLo,
 		cellHi:        s.cellHi,
 		failures:      slices.Clone(s.failures),
@@ -292,6 +302,17 @@ func (s *State) Clone() *State {
 // parent's value and the two advance independently afterwards, so versions
 // are only comparable within one State instance.
 func (s *State) Version() uint64 { return s.version }
+
+// PodVersion returns the Version() at which pod p last changed (0 if it never
+// has). It never exceeds Version(), and it is comparable only within one State
+// instance, like Version.
+func (s *State) PodVersion(p int) uint64 { return s.podVer[p] }
+
+// touch records a mutation of pod p: the one place the version counters move.
+func (s *State) touch(p int) {
+	s.version++
+	s.podVer[p] = s.version
+}
 
 // SetScanQueries forces (or stops forcing) every availability query to
 // recompute from raw residuals, ignoring the incremental indices. Clones
@@ -526,33 +547,36 @@ func (s *State) WholeLeafAvailable(leafIdx int, demand int32) bool {
 
 // refreshLeafFull recomputes the leaf's untouched flag from freeCnt and
 // upFull after either changed, adjusting the per-pod count on transitions.
-func (s *State) refreshLeafFull(leafIdx int) {
+// pod is the leaf's pod, which every caller has already derived.
+func (s *State) refreshLeafFull(leafIdx, pod int) {
 	full := int(s.freeCnt[leafIdx]) == s.Tree.NodesPerLeaf && s.upFull[leafIdx] == s.Tree.HalfMask()
 	if full == s.leafFull[leafIdx] {
 		return
 	}
 	s.leafFull[leafIdx] = full
 	if full {
-		s.podFullLeaves[s.Tree.LeafPod(leafIdx)]++
+		s.podFullLeaves[pod]++
 	} else {
-		s.podFullLeaves[s.Tree.LeafPod(leafIdx)]--
+		s.podFullLeaves[pod]--
 	}
 }
 
-// noteNodesTaken updates the node-side indices after n nodes left the leaf.
-func (s *State) noteNodesTaken(leafIdx, n int) {
+// noteNodesTaken updates the node-side indices after n nodes left the leaf
+// (of the given pod).
+func (s *State) noteNodesTaken(leafIdx, pod, n int) {
 	s.freeCnt[leafIdx] -= int32(n)
 	s.freeTotal -= n
-	s.podFree[s.Tree.LeafPod(leafIdx)] -= int32(n)
-	s.refreshLeafFull(leafIdx)
+	s.podFree[pod] -= int32(n)
+	s.refreshLeafFull(leafIdx, pod)
 }
 
-// noteNodeReturned updates the node-side indices after one node came back.
-func (s *State) noteNodeReturned(leafIdx int) {
+// noteNodeReturned updates the node-side indices after one node came back
+// to the leaf (of the given pod).
+func (s *State) noteNodeReturned(leafIdx, pod int) {
 	s.freeCnt[leafIdx]++
 	s.freeTotal++
-	s.podFree[s.Tree.LeafPod(leafIdx)]++
-	s.refreshLeafFull(leafIdx)
+	s.podFree[pod]++
+	s.refreshLeafFull(leafIdx, pod)
 }
 
 // takeNodes allocates n free nodes (lowest slots first) on the leaf to job.
@@ -561,8 +585,9 @@ func (s *State) takeNodes(leafIdx, n int, job JobID) []NodeID {
 	if int(s.freeCnt[leafIdx]) < n {
 		panic(fmt.Sprintf("topology: leaf %d has %d free nodes, need %d", leafIdx, s.freeCnt[leafIdx], n))
 	}
+	pod := s.Tree.LeafPod(leafIdx)
 	if n > 0 {
-		s.version++
+		s.touch(pod)
 	}
 	out := make([]NodeID, 0, n)
 	m := s.freeNode[leafIdx]
@@ -575,7 +600,7 @@ func (s *State) takeNodes(leafIdx, n int, job JobID) []NodeID {
 		out = append(out, id)
 	}
 	s.freeNode[leafIdx] = m
-	s.noteNodesTaken(leafIdx, n)
+	s.noteNodesTaken(leafIdx, pod, n)
 	return out
 }
 
@@ -587,11 +612,12 @@ func (s *State) retakeNode(n NodeID, job JobID) {
 	if s.freeNode[leafIdx]&(1<<slot) == 0 {
 		panic(fmt.Sprintf("topology: node %d not free on re-take", n))
 	}
-	s.version++
+	pod := s.Tree.LeafPod(leafIdx)
+	s.touch(pod)
 	s.freeNode[leafIdx] &^= 1 << slot
 	s.nodeOwner[n] = job
 	s.record(opNodeTake, int(n), 0, 0)
-	s.noteNodesTaken(leafIdx, 1)
+	s.noteNodesTaken(leafIdx, pod, 1)
 }
 
 // returnNode frees a single node.
@@ -599,13 +625,14 @@ func (s *State) returnNode(n NodeID) {
 	if s.nodeOwner[n] == 0 {
 		panic(fmt.Sprintf("topology: double free of node %d", n))
 	}
-	s.version++
+	leafIdx := int(n) / s.Tree.NodesPerLeaf
+	pod := s.Tree.LeafPod(leafIdx)
+	s.touch(pod)
 	s.record(opNodeReturn, int(n), 0, s.nodeOwner[n])
 	s.nodeOwner[n] = 0
-	leafIdx := int(n) / s.Tree.NodesPerLeaf
 	slot := int(n) % s.Tree.NodesPerLeaf
 	s.freeNode[leafIdx] |= 1 << slot
-	s.noteNodeReturned(leafIdx)
+	s.noteNodeReturned(leafIdx, pod)
 }
 
 // takeLeafUp consumes demand units of the uplink (leafIdx -> L2 i).
@@ -614,15 +641,16 @@ func (s *State) takeLeafUp(leafIdx, i int, demand int32) {
 	if *r < demand {
 		panic(fmt.Sprintf("topology: leaf %d uplink %d over-allocated (%d < %d)", leafIdx, i, *r, demand))
 	}
+	pod := s.Tree.LeafPod(leafIdx)
 	if demand != 0 {
-		s.version++
+		s.touch(pod)
 		s.record(opLeafUp, leafIdx*s.Tree.L2PerPod+i, -demand, 0)
 	}
 	wasFull := *r == s.Capacity
 	*r -= demand
 	if wasFull && demand > 0 {
 		s.upFull[leafIdx] &^= 1 << i
-		s.refreshLeafFull(leafIdx)
+		s.refreshLeafFull(leafIdx, pod)
 	}
 }
 
@@ -633,7 +661,7 @@ func (s *State) takeSpineUp(pod, l2, sp int, demand int32) {
 		panic(fmt.Sprintf("topology: pod %d L2 %d spine %d over-allocated (%d < %d)", pod, l2, sp, *r, demand))
 	}
 	if demand != 0 {
-		s.version++
+		s.touch(pod)
 		s.record(opSpineUp, (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup+sp, -demand, 0)
 	}
 	wasFull := *r == s.Capacity
@@ -646,8 +674,9 @@ func (s *State) takeSpineUp(pod, l2, sp int, demand int32) {
 
 func (s *State) returnLeafUp(leafIdx, i int, demand int32) {
 	r := &s.leafUp[leafIdx*s.Tree.L2PerPod+i]
+	pod := s.Tree.LeafPod(leafIdx)
 	if demand != 0 {
-		s.version++
+		s.touch(pod)
 		s.record(opLeafUp, leafIdx*s.Tree.L2PerPod+i, demand, 0)
 	}
 	*r += demand
@@ -656,14 +685,14 @@ func (s *State) returnLeafUp(leafIdx, i int, demand int32) {
 	}
 	if *r == s.Capacity && demand > 0 {
 		s.upFull[leafIdx] |= 1 << i
-		s.refreshLeafFull(leafIdx)
+		s.refreshLeafFull(leafIdx, pod)
 	}
 }
 
 func (s *State) returnSpineUp(pod, l2, sp int, demand int32) {
 	r := &s.spineUp[(pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup+sp]
 	if demand != 0 {
-		s.version++
+		s.touch(pod)
 		s.record(opSpineUp, (pod*s.Tree.L2PerPod+l2)*s.Tree.SpinesPerGroup+sp, demand, 0)
 	}
 	*r += demand
@@ -678,9 +707,10 @@ func (s *State) returnSpineUp(pod, l2, sp int, demand int32) {
 
 // CheckInvariants audits the state: residuals within bounds, the derived
 // node bookkeeping (freeNode/freeCnt/freeTotal) consistent with nodeOwner,
-// and every incremental availability index equal to a ground-truth
-// recomputation. It returns the first mismatch found, or nil. Tests call it
-// after every mutation; it is O(machine) and never used on hot paths.
+// every incremental availability index equal to a ground-truth
+// recomputation, and no pod version ahead of the state's. It returns the
+// first mismatch found, or nil. Tests call it after every mutation; it is
+// O(machine) and never used on hot paths.
 func (s *State) CheckInvariants() error {
 	t := s.Tree
 	full := t.HalfMask()
@@ -771,6 +801,9 @@ func (s *State) CheckInvariants() error {
 		}
 		if s.podSpineBusy[p] != busy {
 			return fmt.Errorf("pod %d: podSpineBusy %d, ground truth %d", p, s.podSpineBusy[p], busy)
+		}
+		if s.podVer[p] > s.version {
+			return fmt.Errorf("pod %d: version %d is ahead of the state's %d", p, s.podVer[p], s.version)
 		}
 	}
 
