@@ -37,6 +37,7 @@ import (
 
 	jigsaw "repro"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/server"
 )
 
@@ -122,7 +123,7 @@ func run(addr string, radix int, policy, clock, scenarioName string, window int,
 
 // canonicalScheme maps a case-insensitive policy flag to a scheme name.
 func canonicalScheme(policy string) (string, error) {
-	for _, s := range append(jigsaw.Schemes(), jigsaw.SchemeJigsawS) {
+	for _, s := range experiments.Registered {
 		if strings.EqualFold(policy, s) {
 			return s, nil
 		}

@@ -284,7 +284,7 @@ func (e *Engine) admit(it *jobItem) {
 // completion replay. Probes are advisory — they do not count as AllocCalls
 // and do not consult or feed the feasibility cache.
 func (e *Engine) earliestStart(it *jobItem) (float64, bool) {
-	a, _, discard := e.whatIf()
+	a, discard := e.whatIf()
 	defer discard()
 	if a.FreeNodes() >= it.j.Size {
 		if pl, fits := a.Allocate(topology.JobID(it.j.ID), it.j.Size); fits {
@@ -292,7 +292,7 @@ func (e *Engine) earliestStart(it *jobItem) (float64, bool) {
 			return e.now, true
 		}
 	}
-	return e.replay(a, it, false)
+	return e.replay(a, it)
 }
 
 // VisitPlacements calls fn for every running job in ascending job-ID order

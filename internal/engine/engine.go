@@ -1220,13 +1220,13 @@ func (e *Engine) headFitsAtShadow(head *jobItem, snap alloc.Allocator, pl *topol
 // placed) and cached with the reservation.
 func (e *Engine) reservation(head *jobItem) (float64, alloc.Allocator, bool) {
 	if e.cfg.Conservative || e.cfg.DisableBackfill {
-		a, live, discard := e.whatIf()
-		shadow, ok := e.replay(a, head, live)
+		a, discard := e.whatIf()
+		shadow, ok := e.replay(a, head)
 		discard()
 		return shadow, nil, ok
 	}
 	snap := e.cfg.Alloc.Clone()
-	shadow, ok := e.replay(snap, head, false)
+	shadow, ok := e.replay(snap, head)
 	if !ok {
 		return 0, nil, false
 	}
@@ -1236,15 +1236,14 @@ func (e *Engine) reservation(head *jobItem) (float64, alloc.Allocator, bool) {
 // whatIf hands out a state for a pass whose mutations are thrown away: the
 // live state inside an undo-journal transaction when the allocator supports
 // one (O(mutations) to undo, no O(tree) clone), a clone otherwise. discard
-// ends the pass; live tells the caller that a is the state the feasibility
-// cache's verdicts are about. It is the one place the engine chooses between
-// the two mechanisms.
-func (e *Engine) whatIf() (a alloc.Allocator, live bool, discard func()) {
+// ends the pass. It is the one place the engine chooses between the two
+// mechanisms.
+func (e *Engine) whatIf() (a alloc.Allocator, discard func()) {
 	if e.txnAlloc != nil {
 		e.txnAlloc.Begin()
-		return e.txnAlloc, true, e.txnAlloc.Rollback
+		return e.txnAlloc, e.txnAlloc.Rollback
 	}
-	return e.cfg.Alloc.Clone(), false, func() {}
+	return e.cfg.Alloc.Clone(), func() {}
 }
 
 // replay is the engine's one counterfactual (EASY backfilling, Section 5.1):
@@ -1252,13 +1251,11 @@ func (e *Engine) whatIf() (a alloc.Allocator, live bool, discard func()) {
 // ID) and return the first completion time at which the job fits. a is left
 // advanced to that time with the job not placed.
 //
-// cached consults and feeds the feasibility cache, and is sound only when a
-// is the live state: versions of a clone are not comparable with the live
-// one's. (Every probe follows a release batch, which moves the version, so a
-// probe inside the pass finds the memo empty, and the rollback's own version
-// bumps discard what it records: the consult keeps the transactional pass's
-// probes in the miss count and is O(1).)
-func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64, ok bool) {
+// replay neither consults nor feeds the feasibility cache. Even on the live
+// state inside a transaction a memo could never help: every probe follows a
+// release batch, which moves the version, and the rollback's own version
+// bumps discard whatever the pass would record.
+func (e *Engine) replay(a alloc.Allocator, it *jobItem) (t float64, ok bool) {
 	byEnd := e.byEnd[:0]
 	for rj := range e.running {
 		byEnd = append(byEnd, rj)
@@ -1280,20 +1277,9 @@ func (e *Engine) replay(a alloc.Allocator, it *jobItem, cached bool) (t float64,
 		if a.FreeNodes() < size {
 			continue
 		}
-		if cached {
-			if e.feasLookup(size, it.j.ID) == feasNoPlacement {
-				e.acc.FeasCacheHits++
-				continue
-			}
-			if e.feasClass != nil {
-				e.acc.FeasCacheMisses++
-			}
-		}
 		if pl, fits := a.Allocate(id, size); fits {
 			a.Release(pl)
 			t, ok = end, true
-		} else if cached {
-			e.feasRecord(size, it.j.ID, feasNoPlacement)
 		}
 	}
 	// Zero the scratch so completed jobs (and their placements) are not

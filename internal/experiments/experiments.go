@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/alloc"
 	"repro/internal/baseline"
@@ -38,6 +40,10 @@ import (
 
 // Schemes, in the paper's legend order (Figure 6).
 var Schemes = []string{"Baseline", "LC+S", "Jigsaw", "LaaS", "TA"}
+
+// Registered is every scheme NewAllocator builds: Schemes plus Jigsaw+S, the
+// link-sharing relaxation Section 5.2.3 notes can be combined with Jigsaw.
+var Registered = append(slices.Clip(Schemes), "Jigsaw+S")
 
 // IsolatingSchemes are the four compared against Baseline in Figures 7/8.
 var IsolatingSchemes = []string{"TA", "LaaS", "Jigsaw", "LC+S"}
@@ -83,7 +89,9 @@ func (c Config) scale() float64 {
 	return c.Scale
 }
 
-// NewAllocator constructs a scheme's allocator for the tree.
+// NewAllocator constructs a scheme's allocator for the tree; scheme is one of
+// Registered. It is the one scheme registry: jigsaw.NewAllocator and
+// cmd/jigsawd go through it.
 func NewAllocator(scheme string, tree *topology.FatTree) (alloc.Allocator, error) {
 	switch scheme {
 	case "Baseline":
@@ -99,7 +107,7 @@ func NewAllocator(scheme string, tree *topology.FatTree) (alloc.Allocator, error
 	case "Jigsaw+S":
 		return jigsaws.NewAllocator(tree), nil
 	default:
-		return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
+		return nil, fmt.Errorf("unknown scheme %q (want one of %s)", scheme, strings.Join(Registered, ", "))
 	}
 }
 

@@ -88,7 +88,8 @@ func BenchmarkQueueReadUnderSubmitLoad(b *testing.B) { benchmarkQueueRead(b, tru
 // the full HTTP handler stack with many concurrent clients: ns/op here is
 // the inverse of the daemon's job-ingest rate (one op = one job accepted).
 // The batch=16 variant amortizes HTTP and queue rendezvous across 16 jobs
-// per request, which is how cmd/loadgen reaches engine-bound throughput.
+// per request, which is how the benchmark/ workloads reach engine-bound
+// throughput.
 func benchmarkSubmitThroughput(b *testing.B, batch int) {
 	s, err := New(Config{
 		Alloc:        core.NewAllocator(topology.MustNew(8)), // 256 nodes

@@ -320,9 +320,8 @@ func replayHTTP(t *testing.T, base string, jobs []trace.Job) (clusterJSON, map[i
 // schedules, and steady-state utilization: the gateway over one lane must
 // schedule exactly like the engine it wraps.
 func TestShardsOneBitForBitSixPolicies(t *testing.T) {
-	schemes := append(append([]string{}, experiments.Schemes...), "Jigsaw+S")
 	tree := topology.MustNew(8)
-	for _, scheme := range schemes {
+	for _, scheme := range experiments.Registered {
 		t.Run(scheme, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			jobs := make([]trace.Job, 60)
@@ -385,9 +384,8 @@ func TestShardsOneBitForBitSixPolicies(t *testing.T) {
 // schedules and totals: sharding a workload that never crosses a cell
 // boundary must be invisible.
 func TestShardCountDifferentialSixPolicies(t *testing.T) {
-	schemes := append(append([]string{}, experiments.Schemes...), "Jigsaw+S")
 	tree := topology.MustNew(8)
-	for _, scheme := range schemes {
+	for _, scheme := range experiments.Registered {
 		t.Run(scheme, func(t *testing.T) {
 			jobs := shardLocalTrace(rand.New(rand.NewSource(11)), tree, 60)
 

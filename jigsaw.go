@@ -24,20 +24,17 @@ package jigsaw
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/alloc"
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/jigsaws"
-	"repro/internal/laas"
-	"repro/internal/lcs"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/routing"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/ta"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -115,9 +112,7 @@ const (
 )
 
 // Schemes lists the paper's five schemes (Figure 6 order).
-func Schemes() []string {
-	return []string{SchemeBaseline, SchemeLCS, SchemeJigsaw, SchemeLaaS, SchemeTA}
-}
+func Schemes() []string { return slices.Clone(experiments.Schemes) }
 
 // NewFatTree returns the full three-level fat-tree built from switches of
 // the given radix (radix 16 = 1024 nodes, 18 = 1458, 22 = 2662, 28 = 5488).
@@ -126,22 +121,7 @@ func NewFatTree(radix int) (*FatTree, error) { return topology.New(radix) }
 // NewAllocator returns a fresh allocator implementing the named scheme on a
 // pristine tree.
 func NewAllocator(scheme string, tree *FatTree) (Allocator, error) {
-	switch scheme {
-	case SchemeBaseline:
-		return baseline.NewAllocator(tree), nil
-	case SchemeJigsaw:
-		return core.NewAllocator(tree), nil
-	case SchemeLaaS:
-		return laas.NewAllocator(tree), nil
-	case SchemeTA:
-		return ta.NewAllocator(tree), nil
-	case SchemeLCS:
-		return lcs.NewAllocator(tree), nil
-	case SchemeJigsawS:
-		return jigsaws.NewAllocator(tree), nil
-	default:
-		return nil, fmt.Errorf("jigsaw: unknown scheme %q", scheme)
-	}
+	return experiments.NewAllocator(scheme, tree)
 }
 
 // NewJigsawAllocator returns the paper's Jigsaw allocator with its concrete
