@@ -51,9 +51,9 @@ type Allocator interface {
 // transaction before returning control to their caller.
 //
 // Allocators whose Allocate/Release mutate only their topology.State get the
-// extension for free by delegating to the state; allocators carrying
-// auxiliary mutable placement state must either journal it themselves or not
-// implement TxnAllocator, in which case schedulers fall back to Clone.
+// extension for free by embedding Base; allocators carrying auxiliary mutable
+// placement state must either journal it themselves or not implement
+// TxnAllocator, in which case schedulers fall back to Clone.
 type TxnAllocator interface {
 	Allocator
 	// Begin starts recording mutations for rollback.

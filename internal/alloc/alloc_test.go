@@ -8,6 +8,7 @@ package alloc_test
 // to see from scheduling output alone, so they are pinned here directly.
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -144,13 +145,26 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestCloneDeterminism(t *testing.T) {
 	// The same Allocate sequence on an allocator and on its pristine clone
-	// must yield identical placements — the engine's reservation and
-	// backfill checks replay decisions on clones and assume this.
-	sizes := []int{8, 4, 16, 4, 12, 8}
+	// must yield identical placements — nodes, links and per-link demand —
+	// and the clone must keep the policy's name and feasibility classes.
+	// The engine's reservation and backfill checks replay decisions on
+	// clones and assume this.
+	sizes := []int{8, 4, 16, 4, 12, 8, 40}
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {
 			a := mk(topology.MustNew(8))
 			c := a.Clone()
+			if c.Name() != a.Name() {
+				t.Fatalf("clone name %q, original %q", c.Name(), a.Name())
+			}
+			if fa, ok := a.(alloc.FeasibilityClasser); ok {
+				fc := c.(alloc.FeasibilityClasser)
+				for id := topology.JobID(1); id <= 16; id++ {
+					if x, y := fa.FeasibilityClass(id), fc.FeasibilityClass(id); x != y {
+						t.Fatalf("job %d: original class %d, clone class %d", id, x, y)
+					}
+				}
+			}
 			for i, size := range sizes {
 				id := topology.JobID(i + 1)
 				pa, oka := a.Allocate(id, size)
@@ -158,14 +172,8 @@ func TestCloneDeterminism(t *testing.T) {
 				if oka != okc {
 					t.Fatalf("job %d: original ok=%v, clone ok=%v", id, oka, okc)
 				}
-				if !oka {
-					continue
-				}
-				na, nc := sortedNodes(pa), sortedNodes(pc)
-				for j := range na {
-					if na[j] != nc[j] {
-						t.Fatalf("job %d: placements diverge: %v vs %v", id, na, nc)
-					}
+				if oka && !reflect.DeepEqual(pa, pc) {
+					t.Fatalf("job %d: placements diverge:\n%+v\n%+v", id, pa, pc)
 				}
 			}
 		})

@@ -12,50 +12,32 @@ import (
 // Allocator implements alloc.Allocator with no placement constraints beyond
 // node availability.
 type Allocator struct {
-	tree *topology.FatTree
-	st   *topology.State
+	alloc.Base
 }
 
 // NewAllocator returns a baseline allocator for a pristine tree.
 func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{tree: tree, st: topology.NewState(tree, 1)}
+	return &Allocator{Base: alloc.NewBase(topology.NewState(tree, 1))}
 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "Baseline" }
 
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State implements alloc.Allocator.
-func (a *Allocator) State() *topology.State { return a.st }
-
 // Clone implements alloc.Allocator.
 func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone()}
+	return &Allocator{Base: alloc.NewBase(a.State().Clone())}
 }
-
-// Begin implements alloc.TxnAllocator.
-func (a *Allocator) Begin() { a.st.Begin() }
-
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
 
 // Allocate implements alloc.Allocator: any free nodes suffice.
 func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement, bool) {
-	if size < 1 || size > a.st.FreeNodes() {
+	st := a.State()
+	if size < 1 || size > st.FreeNodes() {
 		return nil, false
 	}
 	pl := topology.NewPlacement(job, 1)
 	remaining := size
-	for leaf := 0; leaf < a.tree.Leaves() && remaining > 0; leaf++ {
-		n := a.st.FreeInLeaf(leaf)
+	for leaf := 0; leaf < st.Tree.Leaves() && remaining > 0; leaf++ {
+		n := st.FreeInLeaf(leaf)
 		if n == 0 {
 			continue
 		}
@@ -65,7 +47,7 @@ func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement,
 		pl.AddLeafNodes(leaf, n)
 		remaining -= n
 	}
-	pl.Apply(a.st)
+	pl.Apply(st)
 	return pl, true
 }
 
@@ -78,10 +60,3 @@ func (a *Allocator) FeasibilityClass(topology.JobID) int32 { return 0 }
 // feasible iff size <= free nodes, so failure at size N implies failure at
 // every larger size against the same state.
 func (a *Allocator) MonotoneFeasibility() {}
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
-
-// Mirror implements alloc.Allocator: it charges an externally-produced
-// placement against this allocator's state (used for what-if snapshots).
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }

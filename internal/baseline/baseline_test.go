@@ -46,7 +46,7 @@ func TestNoLinksCharged(t *testing.T) {
 	a.Allocate(1, tree.Nodes())
 	// All uplinks remain free: baseline shares the network.
 	for l := 0; l < tree.Leaves(); l++ {
-		if got := a.st.LeafUpMask(l, 1); got != uint64(1)<<tree.L2PerPod-1 {
+		if got := a.State().LeafUpMask(l, 1); got != uint64(1)<<tree.L2PerPod-1 {
 			t.Fatal("baseline must not allocate links")
 		}
 	}

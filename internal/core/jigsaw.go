@@ -17,10 +17,18 @@ const DefaultSearchBudget = 1 << 20
 // paper's formal conditions, so it carries full interconnect bandwidth
 // (rearrangeable non-blocking; see internal/routing for the constructive
 // check).
+//
+// NewLinkSharing builds the same search over shared links: each job charges
+// a per-job demand against every link it uses instead of the whole link.
+// Jigsaw+S (internal/jigsaws) is that allocator with LC+S's bandwidth model.
 type Allocator struct {
-	tree   *topology.FatTree
-	st     *topology.State
+	alloc.Base
+	name   string
 	budget int
+
+	// demand is the per-link bandwidth a job charges; nil is Jigsaw's unit
+	// demand on capacity-1 links.
+	demand func(topology.JobID) int32
 
 	// SparseFirst flips the two-level factorization order from dense-first
 	// (fewest leaves, the default) to sparse-first; exposed for the
@@ -34,53 +42,61 @@ type Allocator struct {
 
 // NewAllocator returns a Jigsaw allocator for a pristine tree.
 func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{tree: tree, st: topology.NewState(tree, 1), budget: DefaultSearchBudget}
+	return NewLinkSharing(tree, "Jigsaw", 1, nil)
+}
+
+// NewLinkSharing returns a Jigsaw allocator named name for a pristine tree
+// whose links have the given capacity and on which each job charges
+// demand(job) per link; a nil demand is Jigsaw's unit demand.
+func NewLinkSharing(tree *topology.FatTree, name string, capacity int32, demand func(topology.JobID) int32) *Allocator {
+	return &Allocator{
+		Base:   alloc.NewBase(topology.NewState(tree, capacity)),
+		name:   name,
+		budget: DefaultSearchBudget,
+		demand: demand,
+	}
 }
 
 // Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "Jigsaw" }
-
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State exposes the allocation state for inspection in tests.
-func (a *Allocator) State() *topology.State { return a.st }
+func (a *Allocator) Name() string { return a.name }
 
 // Clone implements alloc.Allocator.
 func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone(), budget: a.budget, SparseFirst: a.SparseFirst}
+	return &Allocator{
+		Base:        alloc.NewBase(a.State().Clone()),
+		name:        a.name,
+		budget:      a.budget,
+		demand:      a.demand,
+		SparseFirst: a.SparseFirst,
+	}
 }
 
-// Begin implements alloc.TxnAllocator: the allocator's only mutable state is
-// its topology.State, so the undo journal covers everything.
-func (a *Allocator) Begin() { a.st.Begin() }
+// demandFor returns the per-link bandwidth job charges.
+func (a *Allocator) demandFor(job topology.JobID) int32 {
+	if a.demand == nil {
+		return 1
+	}
+	return a.demand(job)
+}
 
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
-
-// FindPartition searches for a Jigsaw-legal partition of the given size
-// without charging it. It implements get_allocation of Algorithm 1: all
-// two-level (single-subtree) factorizations are tried first, then
-// three-level whole-leaf factorizations. The returned partition is an
-// independent copy the caller may retain.
+// FindPartition is FindJobPartition for callers with no job at hand; under
+// unit demand the search does not depend on the job. It implements
+// get_allocation of Algorithm 1.
 func (a *Allocator) FindPartition(size int) (*partition.Partition, bool) {
-	p, ok := Search(a.st, 1, size, a.SparseFirst, a.budget, &a.scratch)
+	return a.FindJobPartition(0, size)
+}
+
+// FindJobPartition implements alloc.PartitionFinder: it searches for a
+// Jigsaw-legal partition of the given size at the job's demand without
+// charging it. All two-level (single-subtree) factorizations are tried
+// first, then three-level whole-leaf factorizations. The returned partition
+// is an independent copy the caller may retain.
+func (a *Allocator) FindJobPartition(job topology.JobID, size int) (*partition.Partition, bool) {
+	p, ok := Search(a.State(), a.demandFor(job), size, a.SparseFirst, a.budget, &a.scratch)
 	if !ok {
 		return nil, false
 	}
 	return p.Clone(), true
-}
-
-// FindJobPartition implements alloc.PartitionFinder. Core Jigsaw placements
-// are job-independent (unit demand), so it delegates to FindPartition.
-func (a *Allocator) FindJobPartition(job topology.JobID, size int) (*partition.Partition, bool) {
-	return a.FindPartition(size)
 }
 
 // Search runs the full Jigsaw allocation search (Algorithm 1) against an
@@ -173,23 +189,24 @@ func search(st *topology.State, demand int32, size int, sparseFirst bool, budget
 // partition is consumed immediately (Placement copies what it needs), so no
 // clone is taken on this hot path.
 func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement, bool) {
-	p, ok := Search(a.st, 1, size, a.SparseFirst, a.budget, &a.scratch)
+	demand := a.demandFor(job)
+	p, ok := Search(a.State(), demand, size, a.SparseFirst, a.budget, &a.scratch)
 	if !ok {
 		return nil, false
 	}
-	pl := p.Placement(a.tree, job, 1)
-	pl.Apply(a.st)
+	pl := p.Placement(a.Tree(), job, demand)
+	pl.Apply(a.State())
 	return pl, true
 }
 
-// FeasibilityClass implements alloc.FeasibilityClasser: Jigsaw's verdict for
-// a fixed state depends only on the requested size (every job searches at
-// demand 1), so schedulers may memoize negative verdicts per exact size.
-func (a *Allocator) FeasibilityClass(topology.JobID) int32 { return 0 }
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
-
-// Mirror implements alloc.Allocator: it charges an externally-produced
-// placement against this allocator's state (used for what-if snapshots).
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }
+// FeasibilityClass implements alloc.FeasibilityClasser. Under unit demand
+// the verdict for a fixed state depends only on the requested size, so
+// schedulers may memoize negative verdicts per exact size. Under a per-job
+// demand two same-size jobs in different bandwidth classes can get
+// different verdicts, so the memo must key on the demand too.
+func (a *Allocator) FeasibilityClass(job topology.JobID) int32 {
+	if a.demand == nil {
+		return 0
+	}
+	return a.demand(job)
+}

@@ -240,9 +240,6 @@ func (b *Batcher) Len() int { return int(int64(cap(b.ops)) - b.avail.Load()) }
 // Cap returns the queue bound.
 func (b *Batcher) Cap() int { return cap(b.ops) }
 
-// MaxBatch returns the per-drain batch bound.
-func (b *Batcher) MaxBatch() int { return b.maxBatch }
-
 // Applier replays ops on the engine exactly as the serial HTTP path did:
 // each op is applied on its own — submit, advance to the engine's current
 // time so the response reflects the scheduling decision, read status — so a

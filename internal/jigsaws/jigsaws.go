@@ -9,95 +9,14 @@
 package jigsaws
 
 import (
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/lcs"
-	"repro/internal/partition"
 	"repro/internal/topology"
 )
 
-// Allocator implements alloc.Allocator for Jigsaw+S.
-type Allocator struct {
-	tree   *topology.FatTree
-	st     *topology.State
-	budget int
-
-	// scratch backs the allocator's searches; Clone deliberately gives the
-	// clone a fresh zero Scratch (a Scratch must never be shared).
-	scratch core.Scratch
+// NewAllocator returns a Jigsaw+S allocator for a pristine tree: core
+// Jigsaw on links of LC+S's capacity, each job charging its LC+S bandwidth
+// class.
+func NewAllocator(tree *topology.FatTree) *core.Allocator {
+	return core.NewLinkSharing(tree, "Jigsaw+S", lcs.LinkCapacity, lcs.DemandFor)
 }
-
-// NewAllocator returns a Jigsaw+S allocator for a pristine tree.
-func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{
-		tree:   tree,
-		st:     topology.NewState(tree, lcs.LinkCapacity),
-		budget: core.DefaultSearchBudget,
-	}
-}
-
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "Jigsaw+S" }
-
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State implements alloc.Allocator.
-func (a *Allocator) State() *topology.State { return a.st }
-
-// Clone implements alloc.Allocator.
-func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone(), budget: a.budget}
-}
-
-// Begin implements alloc.TxnAllocator.
-func (a *Allocator) Begin() { a.st.Begin() }
-
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
-
-// FindPartition runs the Jigsaw search at the job's bandwidth class without
-// charging the result. The returned partition is an independent copy the
-// caller may retain.
-func (a *Allocator) FindPartition(job topology.JobID, size int) (*partition.Partition, bool) {
-	p, ok := core.Search(a.st, lcs.DemandFor(job), size, false, a.budget, &a.scratch)
-	if !ok {
-		return nil, false
-	}
-	return p.Clone(), true
-}
-
-// FindJobPartition implements alloc.PartitionFinder.
-func (a *Allocator) FindJobPartition(job topology.JobID, size int) (*partition.Partition, bool) {
-	return a.FindPartition(job, size)
-}
-
-// Allocate implements alloc.Allocator. The scratch-backed partition is
-// consumed immediately (Placement copies what it needs), so no clone is
-// taken on this hot path.
-func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement, bool) {
-	p, ok := core.Search(a.st, lcs.DemandFor(job), size, false, a.budget, &a.scratch)
-	if !ok {
-		return nil, false
-	}
-	pl := p.Placement(a.tree, job, lcs.DemandFor(job))
-	pl.Apply(a.st)
-	return pl, true
-}
-
-// FeasibilityClass implements alloc.FeasibilityClasser: two same-size jobs
-// in different bandwidth classes can get different verdicts against the same
-// state, so negative-feasibility memoization must key on the class too.
-func (a *Allocator) FeasibilityClass(job topology.JobID) int32 { return lcs.DemandFor(job) }
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
-
-// Mirror implements alloc.Allocator.
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }

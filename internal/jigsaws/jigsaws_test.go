@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lcs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -14,7 +15,7 @@ func TestPlacementsAreJigsawLegal(t *testing.T) {
 	tree := topology.MustNew(8)
 	a := NewAllocator(tree)
 	for size := 1; size <= tree.Nodes(); size += 7 {
-		p, ok := a.FindPartition(topology.JobID(size), size)
+		p, ok := a.FindJobPartition(topology.JobID(size), size)
 		if !ok {
 			t.Fatalf("size %d failed on empty machine", size)
 		}
@@ -51,22 +52,29 @@ func TestLinkSharingAdmitsDeeperPacking(t *testing.T) {
 	if placedShared < placedStrict {
 		t.Fatalf("Jigsaw+S packed %d nodes, strict Jigsaw %d: sharing must not lose placements", placedShared, placedStrict)
 	}
-	// At least one leaf uplink should now be shared by multiple jobs
-	// (residual strictly between 0 and capacity after partial use).
-	sharedLink := false
-	for l := 0; l < tree.Leaves() && !sharedLink; l++ {
-		for i := 0; i < tree.L2PerPod; i++ {
-			// Demands are 5..20 of 40; two jobs on one link leave
-			// residuals not representable by a single class.
-			r := shared.st.LeafUpResidual(l, i)
-			if r > 0 && r < 40-20 {
-				sharedLink = true
-				break
-			}
+
+	// A multi-pod job on a fresh Jigsaw+S charges its bandwidth class, not
+	// the whole link, on every leaf and spine uplink it uses.
+	fresh := NewAllocator(tree)
+	const job = topology.JobID(7)
+	pl, ok := fresh.Allocate(job, 40)
+	if !ok {
+		t.Fatal("40 nodes failed on an empty machine")
+	}
+	if len(pl.LeafUps) == 0 || len(pl.SpineUps) == 0 {
+		t.Fatalf("a 40-node job must use leaf and spine uplinks: %d leaf, %d spine", len(pl.LeafUps), len(pl.SpineUps))
+	}
+	want := lcs.LinkCapacity - lcs.DemandFor(job)
+	st := fresh.State()
+	for _, u := range pl.LeafUps {
+		if r := st.LeafUpResidual(int(u.Leaf), int(u.L2)); r != want {
+			t.Fatalf("leaf %d uplink %d: residual %d, want %d", u.Leaf, u.L2, r, want)
 		}
 	}
-	if !sharedLink {
-		t.Log("no link ended up shared; acceptable but unexpected for this workload")
+	for _, u := range pl.SpineUps {
+		if r := st.SpineUpResidual(int(u.Pod), int(u.L2), int(u.Spine)); r != want {
+			t.Fatalf("pod %d L2 %d spine %d: residual %d, want %d", u.Pod, u.L2, u.Spine, r, want)
+		}
 	}
 }
 

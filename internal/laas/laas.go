@@ -16,8 +16,7 @@ import (
 
 // Allocator implements alloc.Allocator at whole-leaf granularity.
 type Allocator struct {
-	tree   *topology.FatTree
-	st     *topology.State
+	alloc.Base
 	budget int
 
 	// scratch backs the allocator's searches; Clone deliberately gives the
@@ -27,46 +26,29 @@ type Allocator struct {
 
 // NewAllocator returns a LaaS allocator for a pristine tree.
 func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{tree: tree, st: topology.NewState(tree, 1), budget: core.DefaultSearchBudget}
+	return &Allocator{Base: alloc.NewBase(topology.NewState(tree, 1)), budget: core.DefaultSearchBudget}
 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "LaaS" }
 
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State implements alloc.Allocator.
-func (a *Allocator) State() *topology.State { return a.st }
-
 // Clone implements alloc.Allocator.
 func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone(), budget: a.budget}
+	return &Allocator{Base: alloc.NewBase(a.State().Clone()), budget: a.budget}
 }
-
-// Begin implements alloc.TxnAllocator.
-func (a *Allocator) Begin() { a.st.Begin() }
-
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
 
 // Allocate implements alloc.Allocator. The placement holds every node of
 // every allocated leaf — ceil(size/NodesPerLeaf)*NodesPerLeaf of them —
 // even though the job uses only size; the surplus is LaaS's internal
 // fragmentation and is what depresses its utilization in the paper.
 func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement, bool) {
-	t := a.tree
+	st := a.State()
+	t := st.Tree
 	if size < 1 {
 		return nil, false
 	}
 	leaves := (size + t.NodesPerLeaf - 1) / t.NodesPerLeaf
-	if leaves > t.Leaves() || leaves*t.NodesPerLeaf > a.st.FreeNodes() {
+	if leaves > t.Leaves() || leaves*t.NodesPerLeaf > st.FreeNodes() {
 		return nil, false
 	}
 
@@ -81,12 +63,12 @@ func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement,
 	// state's per-pod index) are skipped without a search.
 	if leaves <= t.LeavesPerPod {
 		for pod := 0; pod < t.Pods; pod++ {
-			if a.st.FullyFreeLeavesInPod(pod) < leaves {
+			if st.FullyFreeLeavesInPod(pod) < leaves {
 				continue
 			}
-			if p, ok := core.FindTwoLevel(a.st, 1, pod, leaves, t.NodesPerLeaf, 0, &steps, &a.scratch); ok {
+			if p, ok := core.FindTwoLevel(st, 1, pod, leaves, t.NodesPerLeaf, 0, &steps, &a.scratch); ok {
 				pl := p.Placement(t, job, 1)
-				pl.Apply(a.st)
+				pl.Apply(st)
 				return pl, true
 			}
 		}
@@ -114,17 +96,14 @@ func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement,
 		if steps <= 0 {
 			return nil, false
 		}
-		if p, ok := core.FindThreeLevel(a.st, 1, pods, lt, lrT, 0, &steps, &a.scratch); ok {
+		if p, ok := core.FindThreeLevel(st, 1, pods, lt, lrT, 0, &steps, &a.scratch); ok {
 			pl := p.Placement(t, job, 1)
-			pl.Apply(a.st)
+			pl.Apply(st)
 			return pl, true
 		}
 	}
 	return nil, false
 }
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
 
 // FeasibilityClass implements alloc.FeasibilityClasser: LaaS's verdict for a
 // fixed state depends only on the requested size (every job searches at
@@ -148,10 +127,6 @@ func (a *Allocator) MonotoneFeasibility() {}
 // RoundedSize returns the node count LaaS actually allocates for a request:
 // size rounded up to whole leaves.
 func (a *Allocator) RoundedSize(size int) int {
-	npl := a.tree.NodesPerLeaf
+	npl := a.Tree().NodesPerLeaf
 	return (size + npl - 1) / npl * npl
 }
-
-// Mirror implements alloc.Allocator: it charges an externally-produced
-// placement against this allocator's state (used for what-if snapshots).
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }

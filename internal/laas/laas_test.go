@@ -37,7 +37,7 @@ func TestWholeLeavesHaveAllUplinks(t *testing.T) {
 	if len(leaves) != 1 {
 		t.Fatalf("leaves = %v", leaves)
 	}
-	if got := a.st.LeafUpMask(leaves[0], 1); got != 0 {
+	if got := a.State().LeafUpMask(leaves[0], 1); got != 0 {
 		t.Fatal("LaaS leaf must own all its uplinks")
 	}
 }

@@ -89,8 +89,7 @@ type searchScratch struct {
 
 // Allocator implements alloc.Allocator for LC+S.
 type Allocator struct {
-	tree   *topology.FatTree
-	st     *topology.State
+	alloc.Base
 	budget int
 
 	// sc backs the allocator's searches; Clone deliberately gives the clone
@@ -100,39 +99,16 @@ type Allocator struct {
 
 // NewAllocator returns an LC+S allocator for a pristine tree.
 func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{tree: tree, st: topology.NewState(tree, LinkCapacity), budget: DefaultBudget}
+	return &Allocator{Base: alloc.NewBase(topology.NewState(tree, LinkCapacity)), budget: DefaultBudget}
 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "LC+S" }
 
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State implements alloc.Allocator.
-func (a *Allocator) State() *topology.State { return a.st }
-
 // Clone implements alloc.Allocator.
 func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone(), budget: a.budget}
+	return &Allocator{Base: alloc.NewBase(a.State().Clone()), budget: a.budget}
 }
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
-
-// Begin implements alloc.TxnAllocator. The search budget resets per Allocate
-// call and the bandwidth classes are pure functions of the job ID, so the
-// topology.State journal covers all mutable state.
-func (a *Allocator) Begin() { a.st.Begin() }
-
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
 
 // FeasibilityClass implements alloc.FeasibilityClasser: two same-size jobs
 // in different bandwidth classes can get different verdicts against the same
@@ -148,10 +124,11 @@ func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement,
 	return a.commit(p, job, DemandFor(job))
 }
 
-// FindPartition searches for a least-constrained partition of the given size
-// at the job's bandwidth class, without charging it against the state. The
-// returned partition is an independent copy the caller may retain.
-func (a *Allocator) FindPartition(job topology.JobID, size int) (*partition.Partition, bool) {
+// FindJobPartition implements alloc.PartitionFinder: it searches for a
+// least-constrained partition of the given size at the job's bandwidth
+// class, without charging it against the state. The returned partition is
+// an independent copy the caller may retain.
+func (a *Allocator) FindJobPartition(job topology.JobID, size int) (*partition.Partition, bool) {
 	p, ok := a.findPartition(job, size)
 	if !ok {
 		return nil, false
@@ -159,17 +136,12 @@ func (a *Allocator) FindPartition(job topology.JobID, size int) (*partition.Part
 	return p.Clone(), true
 }
 
-// FindJobPartition implements alloc.PartitionFinder.
-func (a *Allocator) FindJobPartition(job topology.JobID, size int) (*partition.Partition, bool) {
-	return a.FindPartition(job, size)
-}
-
-// findPartition is the search behind Allocate/FindPartition. Two-level
+// findPartition is the search behind Allocate/FindJobPartition. Two-level
 // results alias the allocator's scratch (valid until the next search), which
-// Allocate consumes immediately; FindPartition clones before returning.
+// Allocate consumes immediately; FindJobPartition clones before returning.
 func (a *Allocator) findPartition(job topology.JobID, size int) (*partition.Partition, bool) {
-	t := a.tree
-	if size < 1 || size > a.st.FreeNodes() {
+	t := a.Tree()
+	if size < 1 || size > a.State().FreeNodes() {
 		return nil, false
 	}
 	demand := DemandFor(job)
@@ -198,14 +170,14 @@ func (a *Allocator) findPartition(job topology.JobID, size int) (*partition.Part
 			}
 			// Per-pod counter skip (exactly FindTwoLevel's own early-out,
 			// hoisted above the call): the pod must hold size free nodes.
-			if a.st.FreeInPod(pod) < size {
+			if a.State().FreeInPod(pod) < size {
 				continue
 			}
 			// nil step budget: LC+S charges its budget per pod probe (the
 			// steps-- above), not per backtracking extension, and changing
 			// that granularity would change which jobs a budget-exhausted
 			// search admits (the golden ledgers pin today's schedules).
-			if p, ok := core.FindTwoLevel(a.st, demand, pod, lt, nL, nrL, nil, &a.sc.core); ok {
+			if p, ok := core.FindTwoLevel(a.State(), demand, pod, lt, nL, nrL, nil, &a.sc.core); ok {
 				return p, true
 			}
 		}
@@ -240,8 +212,8 @@ func (a *Allocator) findPartition(job topology.JobID, size int) (*partition.Part
 }
 
 func (a *Allocator) commit(p *partition.Partition, job topology.JobID, demand int32) (*topology.Placement, bool) {
-	pl := p.Placement(a.tree, job, demand)
-	pl.Apply(a.st)
+	pl := p.Placement(a.Tree(), job, demand)
+	pl.Apply(a.State())
 	return pl, true
 }
 
@@ -251,7 +223,7 @@ func (a *Allocator) ensureScratch() {
 	if sc.info != nil {
 		return
 	}
-	t := a.tree
+	t := a.Tree()
 	sc.info = make([]leafInfo, t.LeavesPerPod)
 	sc.spine = make([]uint64, t.Pods*t.L2PerPod)
 	sc.f = make([]uint64, t.L2PerPod)
@@ -277,11 +249,11 @@ func appendSol(dst []subSolution, chosen []int, mask uint64) []subSolution {
 // podSolutions enumerates up to maxSolutionsPerPod sub-solutions for a pod
 // into dst (reusing its slots' backing arrays).
 func (a *Allocator) podSolutions(dst []subSolution, demand int32, pod, lt, nL int, steps *int) []subSolution {
-	t := a.tree
+	st, t := a.State(), a.Tree()
 	sc := &a.sc
 	for l := 0; l < t.LeavesPerPod; l++ {
 		leafIdx := t.LeafIndex(pod, l)
-		sc.info[l] = leafInfo{up: a.st.LeafUpMask(leafIdx, demand), free: a.st.FreeInLeaf(leafIdx)}
+		sc.info[l] = leafInfo{up: st.LeafUpMask(leafIdx, demand), free: st.FreeInLeaf(leafIdx)}
 	}
 	sc.enum = sc.enum[:0]
 	return a.enumSols(dst[:0], lt, nL, steps, 0, t.HalfMask())
@@ -297,7 +269,7 @@ func (a *Allocator) enumSols(dst []subSolution, lt, nL int, steps *int, start in
 	if len(sc.enum) == lt {
 		return appendSol(dst, sc.enum, m)
 	}
-	t := a.tree
+	t := a.Tree()
 	for l := start; l <= t.LeavesPerPod-(lt-len(sc.enum)); l++ {
 		*steps--
 		if *steps <= 0 {
@@ -325,7 +297,7 @@ func (a *Allocator) enumSols(dst []subSolution, lt, nL int, steps *int, start in
 // and per-L2 spine sets of size lt, plus an optional remainder tree with
 // LrT full leaves and an nrL-node remainder leaf.
 func (a *Allocator) findGeneral(demand int32, T, lt, nL, LrT, nrL int, steps *int) (*partition.Partition, bool) {
-	t := a.tree
+	t := a.Tree()
 	a.ensureScratch()
 	sc := &a.sc
 	sc.demand, sc.T, sc.lt, sc.nl, sc.lrT, sc.nrL = demand, T, lt, nL, LrT, nrL
@@ -334,7 +306,7 @@ func (a *Allocator) findGeneral(demand int32, T, lt, nL, LrT, nrL int, steps *in
 	for p := 0; p < t.Pods; p++ {
 		sbase := p * t.L2PerPod
 		for i := 0; i < t.L2PerPod; i++ {
-			sc.spine[sbase+i] = a.st.SpineMask(p, i, demand)
+			sc.spine[sbase+i] = a.State().SpineMask(p, i, demand)
 		}
 		sc.sols[p] = a.podSolutions(sc.sols[p], demand, p, lt, nL, steps)
 		if *steps <= 0 {
@@ -356,7 +328,7 @@ func (a *Allocator) findGeneral(demand int32, T, lt, nL, LrT, nrL int, steps *in
 func (a *Allocator) genViable(sMask uint64) uint64 {
 	sc := &a.sc
 	var v uint64
-	for i := 0; i < a.tree.L2PerPod; i++ {
+	for i := 0; i < a.Tree().L2PerPod; i++ {
 		if sMask&(1<<i) != 0 && bits.OnesCount64(sc.f[i]) >= sc.lt {
 			v |= 1 << i
 		}
@@ -366,7 +338,7 @@ func (a *Allocator) genViable(sMask uint64) uint64 {
 
 // genRec extends the chosen-pod set with pods from start onward.
 func (a *Allocator) genRec(steps *int, start int, sMask uint64) (*partition.Partition, bool) {
-	t := a.tree
+	t := a.Tree()
 	sc := &a.sc
 	if len(sc.chosen) == sc.T {
 		return a.genFinish(steps, sMask)
@@ -409,7 +381,7 @@ func (a *Allocator) genRec(steps *int, start int, sMask uint64) (*partition.Part
 // genFinish completes the general allocation once T pods are chosen. The
 // partition it assembles is freshly allocated (success path).
 func (a *Allocator) genFinish(steps *int, sMask uint64) (*partition.Partition, bool) {
-	t := a.tree
+	t := a.Tree()
 	sc := &a.sc
 	lt, nL, LrT, nrL := sc.lt, sc.nl, sc.lrT, sc.nrL
 	hasRem := LrT > 0 || nrL > 0
@@ -475,10 +447,10 @@ func (a *Allocator) genFinish(steps *int, sMask uint64) (*partition.Partition, b
 						continue
 					}
 					leafIdx := t.LeafIndex(p, l)
-					if a.st.FreeInLeaf(leafIdx) < nrL {
+					if a.State().FreeInLeaf(leafIdx) < nrL {
 						continue
 					}
-					up := a.st.LeafUpMask(leafIdx, sc.demand)
+					up := a.State().LeafUpMask(leafIdx, sc.demand)
 					var bmask uint64
 					for i := 0; i < t.L2PerPod; i++ {
 						bit := uint64(1) << i
@@ -591,7 +563,3 @@ func sortInts(a []int) {
 		}
 	}
 }
-
-// Mirror implements alloc.Allocator: it charges an externally-produced
-// placement against this allocator's state (used for what-if snapshots).
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }

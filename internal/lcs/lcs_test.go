@@ -79,7 +79,7 @@ func TestBandwidthCapEnforced(t *testing.T) {
 	}
 	for l := 0; l < tree.Leaves(); l++ {
 		for i := 0; i < tree.L2PerPod; i++ {
-			if a.st.LeafUpResidual(l, i) != LinkCapacity {
+			if a.State().LeafUpResidual(l, i) != LinkCapacity {
 				t.Fatal("bandwidth leak")
 			}
 		}

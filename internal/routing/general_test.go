@@ -23,7 +23,7 @@ func TestQuickGeneralPartitionsRoute(t *testing.T) {
 			a.Allocate(topology.JobID(j), 1+rng.Intn(10))
 		}
 		size := 10 + rng.Intn(50)
-		p, ok := a.FindPartition(999, size)
+		p, ok := a.FindJobPartition(999, size)
 		if !ok {
 			return true
 		}
@@ -63,7 +63,7 @@ func TestWraparoundOnGeneralPartition(t *testing.T) {
 		}
 		id++
 	}
-	p, ok := a.FindPartition(id, 29)
+	p, ok := a.FindJobPartition(id, 29)
 	if !ok {
 		t.Fatal("no general partition found")
 	}

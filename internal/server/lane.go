@@ -176,9 +176,11 @@ func (l *lane) close() {
 }
 
 // loop is the engine goroutine, the only code that touches l.eng and the only
-// owner of a timer: a priority poll (batch, then admin closure, then quit) so
-// closures cannot starve behind an ingest storm, an idle turn when nothing is
-// queued, and one blocking wait for as long as that turn allows.
+// owner of a timer: a non-blocking poll of the batch, admin-closure and quit
+// channels, an idle turn when none is ready, and one blocking wait for as long
+// as that turn allows. The poll has no priority order: Go picks uniformly at
+// random among ready cases, and that random choice is what keeps closures
+// from starving behind an ingest storm.
 func (l *lane) loop() {
 	defer close(l.done)
 	var buf []*ingest.Op

@@ -125,9 +125,6 @@ type Config struct {
 	// IngestQueue bounds accepted-but-unapplied operations per lane; a full
 	// queue sheds new work with 429. 0 means the default (4096).
 	IngestQueue int
-	// MaxBatch bounds how many queued operations one engine tick applies.
-	// 0 means the default (256).
-	MaxBatch int
 	// Shards splits the fabric into this many per-cell engines (lanes).
 	// 0 means 1: one lane whose cell is the whole tree.
 	Shards int
@@ -135,7 +132,9 @@ type Config struct {
 
 const (
 	defaultIngestQueue = 4096
-	defaultMaxBatch    = 256
+	// defaultMaxBatch bounds how many queued operations one engine tick
+	// applies.
+	defaultMaxBatch = 256
 	// publishEveryStepsVirtual bounds snapshot staleness during long
 	// virtual-clock replays: mid-replay, readers are at most this many
 	// events behind.
@@ -259,9 +258,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.IngestQueue <= 0 {
 		cfg.IngestQueue = defaultIngestQueue
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
 	}
@@ -312,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.lanes[i] = newLane(eng, s.clock, cfg.IngestQueue, cfg.MaxBatch)
+		s.lanes[i] = newLane(eng, s.clock, cfg.IngestQueue, defaultMaxBatch)
 	}
 	if len(cells) > 1 {
 		// Only with more than one lane can a job live anywhere but lane 0 or

@@ -1,7 +1,7 @@
 // Package stats provides the small summary-statistics toolkit the reporting
-// layer uses: means, percentiles, histograms, and distribution summaries of
-// job metrics. Implemented here (rather than importing a dependency) because
-// the module is stdlib-only.
+// layer uses: means, percentiles, and distribution summaries of job metrics.
+// Implemented here (rather than importing a dependency) because the module is
+// stdlib-only.
 package stats
 
 import (
@@ -95,42 +95,4 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p95=%.4g max=%.4g",
 		s.N, s.Mean, s.Std, s.Min, s.P50, s.P95, s.Max)
-}
-
-// Histogram counts samples into equal-width buckets over [lo, hi]; samples
-// outside the range clamp to the first/last bucket.
-func Histogram(xs []float64, lo, hi float64, buckets int) []int {
-	if buckets < 1 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, buckets)
-	w := (hi - lo) / float64(buckets)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= buckets {
-			i = buckets - 1
-		}
-		counts[i]++
-	}
-	return counts
-}
-
-// Bar renders a proportional ASCII bar of at most width cells for value out
-// of max. Used by the report tables to sketch the paper's bar charts.
-func Bar(value, max float64, width int) string {
-	if max <= 0 || value < 0 || width < 1 {
-		return ""
-	}
-	n := int(value/max*float64(width) + 0.5)
-	if n > width {
-		n = width
-	}
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = '#'
-	}
-	return string(out)
 }

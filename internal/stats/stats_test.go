@@ -40,31 +40,6 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0.1, 0.9, 1.5, 2.5, -1, 99}, 0, 3, 3)
-	want := []int{3, 1, 2} // -1 clamps low, 99 clamps high
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (%v)", i, h[i], want[i], h)
-		}
-	}
-	if Histogram(nil, 1, 0, 3) != nil || Histogram(nil, 0, 1, 0) != nil {
-		t.Fatal("degenerate ranges must return nil")
-	}
-}
-
-func TestBar(t *testing.T) {
-	if Bar(5, 10, 10) != "#####" {
-		t.Fatalf("bar = %q", Bar(5, 10, 10))
-	}
-	if Bar(20, 10, 10) != "##########" {
-		t.Fatal("bar must clamp at width")
-	}
-	if Bar(1, 0, 10) != "" {
-		t.Fatal("zero max must render empty")
-	}
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(seed int64) bool {

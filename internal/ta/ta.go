@@ -34,8 +34,7 @@ type podCand struct{ pod, avail int }
 
 // Allocator implements alloc.Allocator under the TA rules.
 type Allocator struct {
-	tree *topology.FatTree
-	st   *topology.State
+	alloc.Base
 
 	// leafCands/podCands are reusable candidate buffers for the multi-leaf
 	// allocation paths, so steady-state Allocate calls do not grow fresh
@@ -46,52 +45,34 @@ type Allocator struct {
 
 // NewAllocator returns a TA allocator for a pristine tree.
 func NewAllocator(tree *topology.FatTree) *Allocator {
-	return &Allocator{tree: tree, st: topology.NewState(tree, 1)}
+	return &Allocator{Base: alloc.NewBase(topology.NewState(tree, 1))}
 }
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "TA" }
 
-// Tree implements alloc.Allocator.
-func (a *Allocator) Tree() *topology.FatTree { return a.tree }
-
-// FreeNodes implements alloc.Allocator.
-func (a *Allocator) FreeNodes() int { return a.st.FreeNodes() }
-
-// State implements alloc.Allocator.
-func (a *Allocator) State() *topology.State { return a.st }
-
 // Clone implements alloc.Allocator.
 func (a *Allocator) Clone() alloc.Allocator {
-	return &Allocator{tree: a.tree, st: a.st.Clone()}
+	return &Allocator{Base: alloc.NewBase(a.State().Clone())}
 }
-
-// Begin implements alloc.TxnAllocator.
-func (a *Allocator) Begin() { a.st.Begin() }
-
-// Rollback implements alloc.TxnAllocator.
-func (a *Allocator) Rollback() { a.st.Rollback() }
-
-// Commit implements alloc.TxnAllocator.
-func (a *Allocator) Commit() { a.st.Commit() }
 
 // leafOwnable reports whether every uplink of the leaf is free, i.e. no
 // other multi-leaf job has claimed the leaf. With capacity-1 links this is
 // exactly the state's untouched-uplink index.
 func (a *Allocator) leafOwnable(leafIdx int) bool {
-	return a.st.LeafUplinksFree(leafIdx)
+	return a.State().LeafUplinksFree(leafIdx)
 }
 
 // podOwnable reports whether every L2→spine uplink of the pod is free, i.e.
 // no machine-level job has claimed the pod (the per-pod busy-spine counter
 // is zero).
 func (a *Allocator) podOwnable(pod int) bool {
-	return a.st.PodSpinesFree(pod)
+	return a.State().PodSpinesFree(pod)
 }
 
 // Allocate implements alloc.Allocator.
 func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement, bool) {
-	t := a.tree
+	t := a.Tree()
 	switch {
 	case size < 1:
 		return nil, false
@@ -109,19 +90,19 @@ func (a *Allocator) Allocate(job topology.JobID, size int) (*topology.Placement,
 // route through the leaf switch, which a multi-leaf job's implicit
 // reservation covers), but leaf-level jobs share leaves with each other.
 func (a *Allocator) allocLeafLevel(job topology.JobID, size int) (*topology.Placement, bool) {
-	t := a.tree
+	t := a.Tree()
 	for pod := 0; pod < t.Pods; pod++ {
 		// Per-pod counter skip: no leaf can hold size free nodes if the
 		// whole pod has fewer.
-		if a.st.FreeInPod(pod) < size {
+		if a.State().FreeInPod(pod) < size {
 			continue
 		}
 		for l := 0; l < t.LeavesPerPod; l++ {
 			leaf := t.LeafIndex(pod, l)
-			if a.st.FreeInLeaf(leaf) >= size && a.leafOwnable(leaf) {
+			if a.State().FreeInLeaf(leaf) >= size && a.leafOwnable(leaf) {
 				pl := topology.NewPlacement(job, 1)
 				pl.AddLeafNodes(leaf, size)
-				pl.Apply(a.st)
+				pl.Apply(a.State())
 				return pl, true
 			}
 		}
@@ -133,7 +114,7 @@ func (a *Allocator) allocLeafLevel(job topology.JobID, size int) (*topology.Plac
 // number of claimed leaves) and every uplink of each used leaf. It returns
 // false without modifying pl if the eligible leaves cannot cover size.
 func (a *Allocator) claimLeaves(pl *topology.Placement, pod, size int) bool {
-	t := a.tree
+	t := a.Tree()
 	cands := a.leafCands[:0]
 	total := 0
 	for l := 0; l < t.LeavesPerPod; l++ {
@@ -141,7 +122,7 @@ func (a *Allocator) claimLeaves(pl *topology.Placement, pod, size int) bool {
 		// A multi-leaf job takes whole leaf switches: the leaf must be
 		// empty (no leaf-level jobs' nodes share its crossbar) and its
 		// uplinks unclaimed — exactly the state's untouched-leaf index.
-		if a.st.FullyFreeLeaf(leafIdx) {
+		if a.State().FullyFreeLeaf(leafIdx) {
 			cands = append(cands, leafCand{leafIdx, t.NodesPerLeaf})
 			total += t.NodesPerLeaf
 		}
@@ -179,19 +160,20 @@ func (a *Allocator) claimLeaves(pl *topology.Placement, pod, size int) bool {
 // pod's L2 switches (it routes through them to the spines), which a
 // pod-level job's traffic would share.
 func (a *Allocator) allocPodLevel(job topology.JobID, size int) (*topology.Placement, bool) {
-	for pod := 0; pod < a.tree.Pods; pod++ {
+	t := a.Tree()
+	for pod := 0; pod < t.Pods; pod++ {
 		if !a.podOwnable(pod) {
 			continue
 		}
 		// claimLeaves draws only from fully-free leaves, so a pod with
 		// fewer untouched leaves than the job needs can never satisfy it;
 		// skip via the per-pod counter.
-		if a.st.FullyFreeLeavesInPod(pod)*a.tree.NodesPerLeaf < size {
+		if a.State().FullyFreeLeavesInPod(pod)*t.NodesPerLeaf < size {
 			continue
 		}
 		pl := topology.NewPlacement(job, 1)
 		if a.claimLeaves(pl, pod, size) {
-			pl.Apply(a.st)
+			pl.Apply(a.State())
 			return pl, true
 		}
 	}
@@ -201,7 +183,7 @@ func (a *Allocator) allocPodLevel(job topology.JobID, size int) (*topology.Place
 // allocMachineLevel places the job across pods, claiming each used pod's
 // spine uplinks and each used leaf's uplinks.
 func (a *Allocator) allocMachineLevel(job topology.JobID, size int) (*topology.Placement, bool) {
-	t := a.tree
+	t := a.Tree()
 	cands := a.podCands[:0]
 	total := 0
 pods:
@@ -210,7 +192,7 @@ pods:
 			continue
 		}
 		// An empty pod contributes nothing; skip via the per-pod counter.
-		if a.st.FreeInPod(p) == 0 {
+		if a.State().FreeInPod(p) == 0 {
 			continue
 		}
 		avail := 0
@@ -221,7 +203,7 @@ pods:
 				// machine-level job's pod traffic would cross.
 				continue pods
 			}
-			if a.st.FreeInLeaf(leafIdx) == t.NodesPerLeaf {
+			if a.State().FreeInLeaf(leafIdx) == t.NodesPerLeaf {
 				avail += t.NodesPerLeaf
 			}
 		}
@@ -262,7 +244,7 @@ pods:
 	if remaining != 0 {
 		return nil, false
 	}
-	pl.Apply(a.st)
+	pl.Apply(a.State())
 	return pl, true
 }
 
@@ -272,10 +254,3 @@ pods:
 // can fail for want of a single leaf with 3 free nodes while a whole-leaf
 // multiple still fits — so it does not declare alloc.MonotoneFeasibility.
 func (a *Allocator) FeasibilityClass(topology.JobID) int32 { return 0 }
-
-// Release implements alloc.Allocator.
-func (a *Allocator) Release(p *topology.Placement) { p.Release(a.st) }
-
-// Mirror implements alloc.Allocator: it charges an externally-produced
-// placement against this allocator's state (used for what-if snapshots).
-func (a *Allocator) Mirror(p *topology.Placement) { p.Apply(a.st) }

@@ -53,7 +53,7 @@ func TestPodLevelJobOwnsLeafUplinks(t *testing.T) {
 		t.Fatalf("expected 2 leaves, got %d", len(leaves))
 	}
 	for _, l := range leaves {
-		if a.st.LeafUpMask(l, 1) != 0 {
+		if a.State().LeafUpMask(l, 1) != 0 {
 			t.Fatal("pod-level job must own every uplink of its leaves (internal link fragmentation)")
 		}
 	}
