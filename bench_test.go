@@ -8,8 +8,11 @@ package jigsaw
 // minutes; utilization-style outcomes are attached with b.ReportMetric.
 
 import (
-	"io"
+	"bytes"
+	"encoding/csv"
 	"math/rand"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -34,76 +37,97 @@ func BenchmarkTable1TraceGen(b *testing.B) {
 	}
 }
 
+// benchReport regenerates one experiment the way cmd/experiments -csv does
+// and returns its observations, header first.
+func benchReport(b *testing.B, cfg experiments.Config, name string) [][]string {
+	b.Helper()
+	var buf bytes.Buffer
+	cfg.Scale, cfg.Out = benchScale, &buf
+	if err := experiments.Report(cfg, name, true); err != nil {
+		b.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rows
+}
+
+// benchObs returns the values of the first observation whose leading
+// fields are keys.
+func benchObs(b *testing.B, rows [][]string, keys ...string) []float64 {
+	b.Helper()
+	for _, r := range rows[1:] {
+		if slices.Equal(r[:len(keys)], keys) {
+			var vs []float64
+			for _, f := range r[len(keys):] {
+				v, err := strconv.ParseFloat(f, 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				vs = append(vs, v)
+			}
+			return vs
+		}
+	}
+	b.Fatalf("no observation %v", keys)
+	return nil
+}
+
 // BenchmarkFigure6Utilization regenerates Figure 6 (average system
 // utilization, all traces x all schemes) and reports Jigsaw's mean
 // utilization across traces.
 func BenchmarkFigure6Utilization(b *testing.B) {
-	cfg := experiments.Config{Scale: benchScale, Out: io.Discard}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure6Data(cfg)
-		if err != nil {
-			b.Fatal(err)
+		rows := benchReport(b, experiments.Config{}, "fig6")
+		sum, n := 0.0, 0
+		for _, r := range rows[1:] {
+			if r[1] == "Jigsaw" {
+				sum += benchObs(b, rows, r[0], "Jigsaw")[0]
+				n++
+			}
 		}
-		sum := 0.0
-		for _, r := range rows {
-			sum += r.Util["Jigsaw"]
-		}
-		b.ReportMetric(100*sum/float64(len(rows)), "jigsaw-util-%")
+		b.ReportMetric(100*sum/float64(n), "jigsaw-util-%")
 	}
 }
 
 // BenchmarkTable2Instantaneous regenerates Table 2 (instantaneous
 // utilization frequencies on Thunder).
 func BenchmarkTable2Instantaneous(b *testing.B) {
-	cfg := experiments.Config{Scale: benchScale, Out: io.Discard}
 	for i := 0; i < b.N; i++ {
-		data, err := experiments.Table2Data(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(data) != 3 {
-			b.Fatal("expected three schemes")
+		if rows := benchReport(b, experiments.Config{}, "table2"); len(rows) != 1+3*6 {
+			b.Fatal("expected three schemes x six buckets")
 		}
 	}
 }
 
 // BenchmarkFigure7Turnaround regenerates Figure 7 (normalized turnaround,
-// Aug-Cab) and reports Jigsaw's all-jobs ratio under the 10% scenario.
+// Aug-Cab and Oct-Cab) and reports Jigsaw's all-jobs ratio on Aug-Cab under
+// the 10% scenario.
 func BenchmarkFigure7Turnaround(b *testing.B) {
-	cfg := experiments.Config{Scale: benchScale, Out: io.Discard}
 	for i := 0; i < b.N; i++ {
-		d, err := experiments.Figure7Data(cfg, trace.AugCab(benchScale))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(d.Cells["10%"]["Jigsaw"].All, "jigsaw-10%-norm-turnaround")
+		rows := benchReport(b, experiments.Config{}, "fig7")
+		b.ReportMetric(benchObs(b, rows, "Aug-Cab", "10%", "Jigsaw")[0], "jigsaw-10%-norm-turnaround")
 	}
 }
 
 // BenchmarkFigure8Makespan regenerates Figure 8 (normalized makespans,
-// Thunder) and reports Jigsaw's ratio under the 10% scenario.
+// Thunder and Atlas) and reports Jigsaw's ratio on Thunder under the 10%
+// scenario.
 func BenchmarkFigure8Makespan(b *testing.B) {
-	cfg := experiments.Config{Scale: benchScale, Out: io.Discard}
 	for i := 0; i < b.N; i++ {
-		d, err := experiments.Figure8Data(cfg, trace.ThunderLike(benchScale))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(d.Cells["10%"]["Jigsaw"], "jigsaw-10%-norm-makespan")
+		rows := benchReport(b, experiments.Config{}, "fig8")
+		b.ReportMetric(benchObs(b, rows, "Thunder", "10%", "Jigsaw")[0], "jigsaw-10%-norm-makespan")
 	}
 }
 
 // BenchmarkTable3SchedulingTime regenerates Table 3 (average scheduling time
 // per job) and reports Jigsaw's time on the largest cluster in
-// microseconds.
+// microseconds. Cells run one at a time, as Table 3's timings need.
 func BenchmarkTable3SchedulingTime(b *testing.B) {
-	cfg := experiments.Config{Scale: benchScale, Out: io.Discard}
 	for i := 0; i < b.N; i++ {
-		data, _, err := experiments.Table3Data(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(1e6*data["Jigsaw"]["Synth-28"], "jigsaw-synth28-us/job")
+		rows := benchReport(b, experiments.Config{MeasureTime: true, Workers: 1}, "table3")
+		b.ReportMetric(1e6*benchObs(b, rows, "Synth-28", "Jigsaw")[0], "jigsaw-synth28-us/job")
 	}
 }
 

@@ -370,12 +370,17 @@ type Engine struct {
 	// only consume resources and cannot unblock the head.
 	releaseEpoch int64
 	// cancelEpoch counts only running-job cancellations. Reservations are
-	// cached against it rather than releaseEpoch: a natural completion is
-	// exactly the release the reservation's what-if replay already
-	// predicted, so it changes neither the shadow time, the shadow-time
-	// state, nor a drained-machine rejection verdict for the same head. A
-	// cancellation frees resources the replay never saw and can pull the
-	// shadow time earlier, so it must invalidate.
+	// cached against it rather than releaseEpoch: a natural completion is a
+	// release the reservation's what-if replay already predicted, and the
+	// backfills started since only take resources. For a policy whose
+	// "fits" verdict is monotone in free resources, a fresh replay would
+	// then find the same shadow time, shadow-time state and drained-machine
+	// rejection verdict for the same head. LC+S's verdict is not monotone —
+	// its search stops at a step budget, so a fuller state can succeed where
+	// an emptier one ran out — and for LC+S the cache changes decisions
+	// (TestReservationCacheMatchesRecompute, DESIGN.md §10). A cancellation
+	// frees resources the replay never saw and can pull the shadow time
+	// earlier, so it must invalidate.
 	cancelEpoch int64
 	// headBlocked caches the identity and epoch of the last failed head
 	// attempt.

@@ -106,13 +106,14 @@ func TestTable2DataBucketsSumToSamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-thousand-job simulation")
 	}
-	data, err := Table2Data(Config{Scale: 0.02})
+	g, err := Config{Scale: 0.02}.simulate(table2(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for scheme, buckets := range data {
+	hist := func(scheme string) []int { return g[cell{"Thunder", scheme, "None"}].hist }
+	for _, scheme := range []string{"LaaS", "Jigsaw", "TA"} {
 		total := 0
-		for _, c := range buckets {
+		for _, c := range hist(scheme) {
 			total += c
 		}
 		if total == 0 {
@@ -121,24 +122,37 @@ func TestTable2DataBucketsSumToSamples(t *testing.T) {
 	}
 	// Jigsaw reaches >=98% instantaneous utilization far more often than
 	// LaaS, whose rounded-up allocations cap it (the Table 2 story).
-	if data["Jigsaw"][0] <= data["LaaS"][0] {
-		t.Fatalf("Jigsaw >=98 bucket (%d) should exceed LaaS's (%d)", data["Jigsaw"][0], data["LaaS"][0])
+	if hist("Jigsaw")[0] <= hist("LaaS")[0] {
+		t.Fatalf("Jigsaw >=98 bucket (%d) should exceed LaaS's (%d)", hist("Jigsaw")[0], hist("LaaS")[0])
 	}
+}
+
+// normalizedValues simulates one Figure 7 or 8 table and returns its
+// values by scenario and scheme.
+func normalizedValues(t *testing.T, cfg Config, tb table) map[string]map[string][]float64 {
+	t.Helper()
+	g, err := cfg.simulate([]table{tb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]map[string][]float64{}
+	for r, sc := range tb.rows {
+		out[sc] = map[string][]float64{}
+		for c, scheme := range tb.cols {
+			out[sc][scheme] = tb.value(g, r, c)
+		}
+	}
+	return out
 }
 
 func TestFigure7DataNormalizesToBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs LC+S across six scenarios")
 	}
-	cfg := Config{Scale: 0.01}
-	d, err := Figure7Data(cfg, trace.AugCab(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := normalizedValues(t, Config{Scale: 0.01}, figure7(0.01)[0]) // Aug-Cab
 	for _, sc := range scenario.All() {
 		for _, scheme := range IsolatingSchemes {
-			c := d.Cells[sc.Name()][scheme]
-			if c.All <= 0 || c.Large <= 0 {
+			if c := d[sc.Name()][scheme]; c[0] <= 0 || c[1] <= 0 {
 				t.Fatalf("%s/%s: non-positive normalized turnaround", sc.Name(), scheme)
 			}
 		}
@@ -146,7 +160,7 @@ func TestFigure7DataNormalizesToBaseline(t *testing.T) {
 	// Speed-ups can only help: 20% turnaround must not exceed None for the
 	// same scheme.
 	for _, scheme := range IsolatingSchemes {
-		if d.Cells["20%"][scheme].All > d.Cells["None"][scheme].All*1.05 {
+		if d["20%"][scheme][0] > d["None"][scheme][0]*1.05 {
 			t.Fatalf("%s: 20%% scenario slower than None", scheme)
 		}
 	}
@@ -156,14 +170,9 @@ func TestFigure8DataMakespanImprovesWithSpeedups(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs LC+S across six scenarios")
 	}
-	cfg := Config{Scale: 0.01}
-	d, err := Figure8Data(cfg, trace.ThunderLike(0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := normalizedValues(t, Config{Scale: 0.01}, figure8(0.01)[0]) // Thunder
 	for _, scheme := range IsolatingSchemes {
-		none := d.Cells["None"][scheme]
-		twenty := d.Cells["20%"][scheme]
+		none, twenty := d["None"][scheme][0], d["20%"][scheme][0]
 		if twenty > none*1.02 {
 			t.Fatalf("%s: makespan with 20%% speed-ups (%.3f) exceeds None (%.3f)", scheme, twenty, none)
 		}

@@ -295,15 +295,14 @@ func New(cfg Config) (*Server, error) {
 			a.State().RestrictToPods(c.PodLo, c.PodHi)
 		}
 		eng, err := engine.New(engine.Config{
-			Alloc:            a,
-			Scenario:         sc,
-			Window:           cfg.Window,
-			DisableBackfill:  cfg.DisableBackfill,
-			ApplySpeedups:    cfg.ApplySpeedups,
-			OnFailure:        cfg.OnFailure,
-			Elastic:          cfg.Elastic,
-			MeasureAllocTime: true,
-			TotalNodes:       c.Nodes(tree),
+			Alloc:           a,
+			Scenario:        sc,
+			Window:          cfg.Window,
+			DisableBackfill: cfg.DisableBackfill,
+			ApplySpeedups:   cfg.ApplySpeedups,
+			OnFailure:       cfg.OnFailure,
+			Elastic:         cfg.Elastic,
+			TotalNodes:      c.Nodes(tree),
 		})
 		if err != nil {
 			return nil, err

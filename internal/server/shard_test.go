@@ -343,7 +343,7 @@ func TestShardsOneBitForBitSixPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := engine.New(engine.Config{Alloc: a, MeasureAllocTime: true})
+			e, err := engine.New(engine.Config{Alloc: a})
 			if err != nil {
 				t.Fatal(err)
 			}
