@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc, err := findScenario(*scName)
+	sc, err := scenario.ByName(*scName)
 	if err != nil {
 		fatal(err)
 	}
@@ -81,15 +81,6 @@ func loadTrace(name, swf string, nodes int, zeroArr bool, scale float64) (*trace
 		}
 	}
 	return nil, fmt.Errorf("unknown trace %q", name)
-}
-
-func findScenario(name string) (scenario.Scenario, error) {
-	for _, sc := range scenario.All() {
-		if sc.Name() == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown scenario %q", name)
 }
 
 func fatal(err error) {

@@ -2,8 +2,8 @@ package engine_test
 
 // Differential pinning for the two what-if mechanisms (Engine.whatIf): every
 // policy is driven through an identical randomized submit/cancel/step history
-// twice — once on the real allocator (conservative/FIFO reservations replay
-// on the live state under an undo journal, with the feasibility cache) and
+// twice — once on the real allocator (FIFO reservations replay on the live
+// state under an undo journal, with the feasibility cache) and
 // once on a wrapper that hides the transaction methods and the cache (every
 // what-if replays on a deep clone) — and every observable output must match
 // bit-for-bit: schedules, utilization series, rejection sets, and counts.
@@ -59,16 +59,14 @@ func newPolicy(t *testing.T, name string, tree *topology.FatTree) alloc.Allocato
 var allPolicies = []string{"Baseline", "Jigsaw", "Jigsaw+S", "LaaS", "TA", "LC+S"}
 
 // engineVariants are the scheduling modes the what-if path serves: EASY
-// (non-conservative backfill exercises the displacement check), conservative
-// backfill, and pure FIFO (reservation only for rejection detection).
+// (backfill exercises the displacement check) and pure FIFO (reservation
+// only for rejection detection).
 var engineVariants = []struct {
 	name            string
-	conservative    bool
 	disableBackfill bool
 }{
-	{"easy", false, false},
-	{"conservative", true, false},
-	{"fifo", false, true},
+	{"easy", false},
+	{"fifo", true},
 }
 
 func sameSnapshots(a, b engine.Snapshot) bool {
@@ -110,14 +108,14 @@ func TestTxnEngineMatchesCloneEngine(t *testing.T) {
 		for _, v := range engineVariants {
 			t.Run(policy+"/"+v.name, func(t *testing.T) {
 				for seed := int64(1); seed <= 4; seed++ {
-					runDifferentialHistory(t, policy, v.name, seed, tree, v.conservative, v.disableBackfill)
+					runDifferentialHistory(t, policy, v.name, seed, tree, v.disableBackfill)
 				}
 			})
 		}
 	}
 }
 
-func runDifferentialHistory(t *testing.T, policy, variant string, seed int64, tree *topology.FatTree, conservative, disableBackfill bool) {
+func runDifferentialHistory(t *testing.T, policy, variant string, seed int64, tree *topology.FatTree, disableBackfill bool) {
 	t.Helper()
 	at := newPolicy(t, policy, tree)
 	if _, ok := at.(alloc.TxnAllocator); !ok {
@@ -126,7 +124,6 @@ func runDifferentialHistory(t *testing.T, policy, variant string, seed int64, tr
 	mk := func(a alloc.Allocator) *engine.Engine {
 		eng, err := engine.New(engine.Config{
 			Alloc:           a,
-			Conservative:    conservative,
 			DisableBackfill: disableBackfill,
 			Window:          10,
 			History:         true,

@@ -1,10 +1,9 @@
 // Package engine is the incremental, event-driven core of the scheduler:
 // FIFO service order with EASY backfilling (Section 5.3) over any
-// alloc.Allocator, driven one event at a time instead of by a monolithic
-// run loop. The same engine powers both the batch trace simulator
-// (internal/sched re-implements Scheduler.Run on top of it, bit-for-bit)
-// and the online scheduling daemon (internal/server, cmd/jigsawd), which
-// feeds it live submissions and cancellations.
+// alloc.Allocator, driven one event at a time. The same engine powers both
+// the batch trace simulator (internal/sched: a Config plus a fail trace,
+// stepped to exhaustion) and the online scheduling daemon (internal/server,
+// cmd/jigsawd), which feeds it live submissions and cancellations.
 //
 // The engine is single-threaded by design: it is not safe for concurrent
 // use, and the online server serializes every call onto one goroutine (see
@@ -22,13 +21,13 @@
 // information the paper's simulator used.
 //
 // Every what-if pass is the same completion replay (replay) over a state
-// that is thrown away afterwards. Where only the answer is kept —
-// conservative and FIFO reservations, deadline admission — whatIf picks the
-// state: the live one under an undo-journal transaction (alloc.TxnAllocator)
-// when the allocator has one, a clone otherwise. Non-conservative backfill
-// needs two states at once, so its reservation always replays onto a clone
-// and keeps it (see reservation). Differential tests pin the transactional
-// and the clone mechanism bit-for-bit equal across every policy and mode.
+// that is thrown away afterwards. Where only the answer is kept — FIFO
+// reservations, deadline admission — whatIf picks the state: the live one
+// under an undo-journal transaction (alloc.TxnAllocator) when the allocator
+// has one, a clone otherwise. EASY backfill needs two states at once, so its
+// reservation always replays onto a clone and keeps it (see reservation).
+// Differential tests pin the transactional and the clone mechanism
+// bit-for-bit equal across every policy, with backfill on and off.
 package engine
 
 import (
@@ -74,7 +73,9 @@ const (
 // timeEps absorbs floating-point slack in shadow-time comparisons.
 const timeEps = 1e-9
 
-// Config selects the scheduling policy the engine runs.
+// Config selects the scheduling policy the engine runs: EASY backfilling
+// within Window, or pure FIFO with DisableBackfill. The batch simulator
+// embeds it (sched.Scheduler) and the daemon builds one per lane.
 type Config struct {
 	// Alloc is the placement policy; required.
 	Alloc alloc.Allocator
@@ -84,9 +85,6 @@ type Config struct {
 	Window int
 	// DisableBackfill reverts to pure FIFO.
 	DisableBackfill bool
-	// Conservative restricts backfilling to candidates that finish by the
-	// head's shadow time (see sched.Scheduler.Conservative).
-	Conservative bool
 	// ApplySpeedups scales runtimes by the scenario.
 	ApplySpeedups bool
 	// MeasureAllocTime records wall-clock time spent in Allocate calls on
@@ -388,11 +386,10 @@ type Engine struct {
 	headBlockedID    int64
 	headBlockedEpoch int64
 	// Cached reservation for the blocked head: the shadow time plus, for
-	// non-conservative backfill, the shadow-time what-if state — a clone
-	// advanced to the shadow time, kept current by mirroring backfilled
-	// jobs that run past it. Conservative and FIFO reservations keep no
-	// state (resvSnap stays nil): they only consume the shadow time and
-	// the fits-at-all verdict.
+	// EASY backfill, the shadow-time what-if state — a clone advanced to the
+	// shadow time, kept current by mirroring backfilled jobs that run past
+	// it. FIFO reservations keep no state (resvSnap stays nil): they only
+	// consume the shadow time and the fits-at-all verdict.
 	resvValid  bool
 	resvID     int64
 	resvEpoch  int64
@@ -952,8 +949,8 @@ func (e *Engine) feasSync() {
 // take-then-return is an exact inverse on topology.State (DESIGN.md §10: the
 // same mutators walk the availability indices back), so the live state is bit
 // for bit the one every cached verdict is about — only its version counter
-// moved. It has exactly two callers, the two places scheduleQueue's backfill
-// loop undoes a probe.
+// moved. Its one caller is scheduleQueue's backfill loop, where it undoes a
+// probe that would displace the head.
 func (e *Engine) feasUndone() {
 	if e.feasClass != nil {
 		e.feasVersion = e.cfg.Alloc.State().Version()
@@ -1168,12 +1165,6 @@ func (e *Engine) scheduleQueue(now float64) {
 				e.removeQueued(i)
 				continue
 			}
-			if e.cfg.Conservative {
-				e.cfg.Alloc.Release(pl)
-				e.feasUndone()
-				i++
-				continue
-			}
 			// Runs past the shadow time: admit only if the head would
 			// still fit at the shadow time with this job in place.
 			if e.headFitsAtShadow(head, snap, pl) {
@@ -1215,16 +1206,15 @@ func (e *Engine) headFitsAtShadow(head *jobItem, snap alloc.Allocator, pl *topol
 // reservation computes the head job's shadow time: the earliest completion
 // time at which the head fits.
 //
-// Conservative and FIFO schedulers consume only the shadow time and the
-// fits-at-all verdict, so their pass runs on whatever whatIf hands out and
-// the state is discarded. Non-conservative backfill needs two states at
-// once: candidates allocate on the live state while the head is probed on
-// the shadow-time state, once per displacement check (headFitsAtShadow). A
-// transaction on the live state cannot be both, so that mode always replays
-// onto a clone, which is returned (advanced to the shadow time, head not
-// placed) and cached with the reservation.
+// FIFO consumes only the shadow time and the fits-at-all verdict, so its
+// pass runs on whatever whatIf hands out and the state is discarded. EASY
+// backfill needs two states at once: candidates allocate on the live state
+// while the head is probed on the shadow-time state, once per displacement
+// check (headFitsAtShadow). A transaction on the live state cannot be both,
+// so EASY always replays onto a clone, which is returned (advanced to the
+// shadow time, head not placed) and cached with the reservation.
 func (e *Engine) reservation(head *jobItem) (float64, alloc.Allocator, bool) {
-	if e.cfg.Conservative || e.cfg.DisableBackfill {
+	if e.cfg.DisableBackfill {
 		a, discard := e.whatIf()
 		shadow, ok := e.replay(a, head)
 		discard()

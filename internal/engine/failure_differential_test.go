@@ -2,7 +2,7 @@ package engine_test
 
 // Degraded-fabric acceptance across every policy and backfill mode: the same
 // deterministic job history runs with a fail/recover trace injected, and for
-// all 18 combinations the engine must requeue the hit jobs, keep the state
+// all 12 combinations the engine must requeue the hit jobs, keep the state
 // invariants green at every event (which is what guarantees nothing is ever
 // placed on a failed resource — failed nodes are owned by the sentinel and
 // failed links hold zero residual), and drain every submission to exactly
@@ -54,7 +54,6 @@ func TestDegradedEnginesAcrossPolicies(t *testing.T) {
 				a := newPolicy(t, policy, tree)
 				eng, err := engine.New(engine.Config{
 					Alloc:           a,
-					Conservative:    v.conservative,
 					DisableBackfill: v.disableBackfill,
 					Window:          10,
 					OnFailure:       engine.FailRequeue,

@@ -35,7 +35,7 @@ func newUncached(t *testing.T, policy string, tree *topology.FatTree) alloc.Allo
 
 // TestCachedEngineMatchesUncachedEngine drives a cached and an uncached
 // engine of the same policy through identical randomized histories across
-// all six policies and all three backfill modes. Both run in transaction
+// all six policies and both backfill modes. Both run in transaction
 // mode, so the cache is the only difference. The shared
 // accounting comparison includes AllocCalls, pinning that cache hits still
 // count as logical allocation attempts.
@@ -48,7 +48,6 @@ func TestCachedEngineMatchesUncachedEngine(t *testing.T) {
 				for seed := int64(1); seed <= 4; seed++ {
 					ecache, err := engine.New(engine.Config{
 						Alloc:           newPolicy(t, policy, tree),
-						Conservative:    v.conservative,
 						DisableBackfill: v.disableBackfill,
 						Window:          10,
 					})
@@ -57,7 +56,6 @@ func TestCachedEngineMatchesUncachedEngine(t *testing.T) {
 					}
 					eplain, err := engine.New(engine.Config{
 						Alloc:           newUncached(t, policy, tree),
-						Conservative:    v.conservative,
 						DisableBackfill: v.disableBackfill,
 						Window:          10,
 					})

@@ -123,12 +123,7 @@ func TestIncrementalUtilizationMatchesSeriesWalk(t *testing.T) {
 			}
 			checkIntegrals(t, e, seed, 1000)
 		}
-		acc := e.Accounting()
-		r := &sched.Result{
-			Records: acc.Records, UtilSeries: acc.UtilSeries,
-			FirstArrival: acc.FirstArrival, LastEnd: acc.LastEnd,
-			SteadyEnd: acc.SteadyEnd, SystemNodes: e.TotalNodes(),
-		}
+		r := &sched.Result{SystemNodes: e.TotalNodes(), Accounting: e.Accounting()}
 		if got, want := e.SteadyUtilization(), metrics.Utilization(r); !closeEnough(got, want) {
 			t.Fatalf("seed %d: drained SteadyUtilization = %v, metrics.Utilization = %v", seed, got, want)
 		}

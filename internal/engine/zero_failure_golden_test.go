@@ -4,7 +4,7 @@ package engine_test
 // below were recorded from the engine BEFORE the failure model existed, so
 // this test proves that an engine carrying the fault plumbing — but with no
 // faults injected — produces a bit-for-bit identical ledger. The history
-// covers all six policies × {EASY, conservative, FIFO} over a fixed
+// covers all six policies × {EASY, FIFO} over a fixed
 // submit/cancel/drain schedule; the hash covers every Accounting field, the
 // outcome counts, and the drained snapshot, with float64s folded in by their
 // exact IEEE-754 bit patterns.
@@ -30,24 +30,18 @@ import (
 //
 //	GOLDEN_REGEN=1 go test ./internal/engine -run TestZeroFailureLedgerGolden -v
 var zeroFailureGolden = map[string]string{
-	"Baseline/conservative": "5506b4a165a5836dfc2450eb0f53755b02d9fa1e7a4f5056e7bdfe75e358b38e",
-	"Baseline/easy":         "cff30f18af047b7b1eff498b1a32148963835c804bfffc9946fbb8a4f43b10d7",
-	"Baseline/fifo":         "656f2c4cf7d240bad7151ae0ee90484cb3ae075dd55b27c6e16199d162093fff",
-	"Jigsaw+S/conservative": "094c1f48b58bd2718f810eaae66f59a5ac23f0bf41be5b78240211a705cd8f4b",
-	"Jigsaw+S/easy":         "4096d6258dcf9bc9fabfccb0556abf0278ecc6136dc152c5b9895f9c06b7a82f",
-	"Jigsaw+S/fifo":         "3bd71d68d7f91579c00bb3c56c502f5079621742bccf85f881a9dcc5ce591707",
-	"Jigsaw/conservative":   "094c1f48b58bd2718f810eaae66f59a5ac23f0bf41be5b78240211a705cd8f4b",
-	"Jigsaw/easy":           "4096d6258dcf9bc9fabfccb0556abf0278ecc6136dc152c5b9895f9c06b7a82f",
-	"Jigsaw/fifo":           "3bd71d68d7f91579c00bb3c56c502f5079621742bccf85f881a9dcc5ce591707",
-	"LC+S/conservative":     "380381ff1d9194015f7430d47841f82476f667344b8cfc1130bc307eb8c6257a",
-	"LC+S/easy":             "cff30f18af047b7b1eff498b1a32148963835c804bfffc9946fbb8a4f43b10d7",
-	"LC+S/fifo":             "4947d3c4278fb84a1cafb41959c9181cdb7141674516aa5df66630b75d16a5a3",
-	"LaaS/conservative":     "29518d8027a07c6898aad08cb2a1dc0d4611cc82dc3daff1d9d8d4d11f6d26cc",
-	"LaaS/easy":             "91e533664fb7815a5dbb6511208eebc61ff5df4703c783905e8ed015d9a4307f",
-	"LaaS/fifo":             "adf846229dcecb1c420eb0dda8e74298d55a713affbad0e33265ce6b6ea90f7a",
-	"TA/conservative":       "5958e0e4b764f9a4d1e6241d30036de8d3042d933cb5795f2e95bef7905d6519",
-	"TA/easy":               "011984f50d9af9e3cadddad35a7c39282969487ebb3ea83017707ceee6b61a22",
-	"TA/fifo":               "7b0d6f8ea874f5246ccb50384c0531de9cffcfc456fcc6b08a8a8367f6d70bc2",
+	"Baseline/easy": "cff30f18af047b7b1eff498b1a32148963835c804bfffc9946fbb8a4f43b10d7",
+	"Baseline/fifo": "656f2c4cf7d240bad7151ae0ee90484cb3ae075dd55b27c6e16199d162093fff",
+	"Jigsaw+S/easy": "4096d6258dcf9bc9fabfccb0556abf0278ecc6136dc152c5b9895f9c06b7a82f",
+	"Jigsaw+S/fifo": "3bd71d68d7f91579c00bb3c56c502f5079621742bccf85f881a9dcc5ce591707",
+	"Jigsaw/easy":   "4096d6258dcf9bc9fabfccb0556abf0278ecc6136dc152c5b9895f9c06b7a82f",
+	"Jigsaw/fifo":   "3bd71d68d7f91579c00bb3c56c502f5079621742bccf85f881a9dcc5ce591707",
+	"LC+S/easy":     "cff30f18af047b7b1eff498b1a32148963835c804bfffc9946fbb8a4f43b10d7",
+	"LC+S/fifo":     "4947d3c4278fb84a1cafb41959c9181cdb7141674516aa5df66630b75d16a5a3",
+	"LaaS/easy":     "91e533664fb7815a5dbb6511208eebc61ff5df4703c783905e8ed015d9a4307f",
+	"LaaS/fifo":     "adf846229dcecb1c420eb0dda8e74298d55a713affbad0e33265ce6b6ea90f7a",
+	"TA/easy":       "011984f50d9af9e3cadddad35a7c39282969487ebb3ea83017707ceee6b61a22",
+	"TA/fifo":       "7b0d6f8ea874f5246ccb50384c0531de9cffcfc456fcc6b08a8a8367f6d70bc2",
 }
 
 func hashFloat(h hash.Hash, f float64) {
@@ -158,7 +152,7 @@ func driveGoldenHistory(t *testing.T, e *engine.Engine, tree *topology.FatTree) 
 
 // TestZeroFailureLedgerGolden pins that an engine with the failure subsystem
 // compiled in — but never exercised — matches the pre-failure engine ledger
-// exactly, across all six policies and all three scheduling modes.
+// exactly, across all six policies and both scheduling modes.
 func TestZeroFailureLedgerGolden(t *testing.T) {
 	regen := os.Getenv("GOLDEN_REGEN") != ""
 	tree := topology.MustNew(8)
@@ -168,7 +162,6 @@ func TestZeroFailureLedgerGolden(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				eng, err := engine.New(engine.Config{
 					Alloc:           newPolicy(t, policy, tree),
-					Conservative:    v.conservative,
 					DisableBackfill: v.disableBackfill,
 					Window:          10,
 					History:         true,
@@ -196,7 +189,7 @@ func TestZeroFailureLedgerGolden(t *testing.T) {
 
 // TestZeroFailureLedgerGoldenElastic replays the exact same rigid history
 // through engines with the malleability layer switched ON (Config.Elastic,
-// FailShrink) and demands the same 18 golden hashes: every elastic path is
+// FailShrink) and demands the same 12 golden hashes: every elastic path is
 // additionally gated on the job declaring elastic fields, so a trace of
 // rigid jobs must schedule bit-for-bit identically — same allocator call
 // counts, same ledgers — with elasticity enabled or not.
@@ -208,7 +201,6 @@ func TestZeroFailureLedgerGoldenElastic(t *testing.T) {
 			t.Run(key, func(t *testing.T) {
 				eng, err := engine.New(engine.Config{
 					Alloc:           newPolicy(t, policy, tree),
-					Conservative:    v.conservative,
 					DisableBackfill: v.disableBackfill,
 					Window:          10,
 					Elastic:         true,

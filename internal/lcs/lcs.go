@@ -17,6 +17,7 @@ package lcs
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
@@ -469,7 +470,7 @@ func (a *Allocator) genFinish(steps *int, sMask uint64) (*partition.Partition, b
 					}
 					rest := lowestBitsOf(amask&^srm, nL-nrL)
 					sIdx = append(append([]int{}, srIdx...), rest...)
-					sortInts(sIdx)
+					slices.Sort(sIdx)
 					remPod, remLeaf = p, l
 					remFull = rs.leaves
 					break
@@ -513,7 +514,7 @@ func (a *Allocator) genFinish(steps *int, sMask uint64) (*partition.Partition, b
 			rm |= 1 << s
 		}
 		all := append(append([]int{}, rsel...), lowestBitsOf(sc.f[i]&^rm, lt-req)...)
-		sortInts(all)
+		slices.Sort(all)
 		spineSet[i] = all
 		spineSetR[i] = rsel
 	}
@@ -554,12 +555,4 @@ func lowestBitsOf(m uint64, n int) []int {
 		m &^= 1 << i
 	}
 	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

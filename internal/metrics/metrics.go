@@ -4,7 +4,10 @@
 // frequencies (Table 2), and average scheduling time per job (Table 3).
 package metrics
 
-import "repro/internal/sched"
+import (
+	"repro/internal/engine"
+	"repro/internal/sched"
+)
 
 // Utilization returns the average system utilization over the steady-state
 // portion of the run:
@@ -28,7 +31,7 @@ func Utilization(r *sched.Result) float64 {
 // and normalizes by systemNodes. The final point's value extends to end,
 // which lets the online daemon evaluate utilization-to-now on a series that
 // is still open. It returns 0 on an empty series or a degenerate interval.
-func SeriesUtilization(series []sched.UtilPoint, start, end float64, systemNodes int) float64 {
+func SeriesUtilization(series []engine.UtilPoint, start, end float64, systemNodes int) float64 {
 	if end <= start || len(series) == 0 || systemNodes <= 0 {
 		return 0
 	}

@@ -11,7 +11,11 @@
 // isolating scheduler and across repeated runs.
 package scenario
 
-import "repro/internal/trace"
+import (
+	"fmt"
+
+	"repro/internal/trace"
+)
 
 // Scenario assigns isolated-execution speed-ups to jobs.
 type Scenario interface {
@@ -96,6 +100,16 @@ func (Random) Speedup(j trace.Job) float64 {
 // All returns the six scenarios in the order of Figures 7 and 8.
 func All() []Scenario {
 	return []Scenario{None{}, Fixed{5}, Fixed{10}, Fixed{20}, V2{}, Random{}}
+}
+
+// ByName returns the scenario of All with the given figure label.
+func ByName(name string) (Scenario, error) {
+	for _, sc := range All() {
+		if sc.Name() == name {
+			return sc, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown scenario %q", name)
 }
 
 // hash is a splitmix-style deterministic per-job hash.

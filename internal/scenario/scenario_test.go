@@ -97,3 +97,15 @@ func TestAllOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, s := range All() {
+		got, err := ByName(s.Name())
+		if err != nil || got != s {
+			t.Fatalf("ByName(%q) = %v, %v; want %v", s.Name(), got, err, s)
+		}
+	}
+	if _, err := ByName("15%"); err == nil {
+		t.Fatal("an unknown label must error")
+	}
+}

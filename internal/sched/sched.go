@@ -1,14 +1,9 @@
-// Package sched implements the batch job-scheduling simulator: FIFO service
-// order with EASY backfilling (Section 5.3), pluggable over any
-// alloc.Allocator and any performance scenario.
-//
-// The scheduling core itself — FIFO head service, the EASY reservation with
-// its shadow-time computation, and the backfill admission checks — lives in
-// internal/engine, an incremental event-driven engine that also powers the
-// online scheduling daemon (internal/server). Scheduler.Run is a thin batch
-// driver over that engine: it submits the whole trace, steps the engine to
-// exhaustion, and packages the engine's accounting into a Result. Results
-// are bit-for-bit identical to the original monolithic run loop.
+// Package sched is the batch job-scheduling simulator: one trace run to
+// completion on internal/engine, which implements FIFO service with EASY
+// backfilling (Section 5.3) over any alloc.Allocator and also powers the
+// online daemon (internal/server). A Scheduler is an engine configuration
+// plus a fail trace; Run submits the whole trace, steps the engine to
+// exhaustion, and labels the engine's accounting as a Result.
 package sched
 
 import (
@@ -22,106 +17,42 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultWindow is the paper's backfill lookahead (Section 5.4.3).
-const DefaultWindow = engine.DefaultWindow
-
-// Scheduler runs one trace against one allocator under one scenario.
+// Scheduler runs one trace against one allocator under one scenario; the
+// embedded engine.Config is the scheduling policy.
 type Scheduler struct {
-	Alloc    alloc.Allocator
-	Scenario scenario.Scenario
-	// Window is the EASY backfill lookahead; 0 means DefaultWindow.
-	Window int
-	// DisableBackfill reverts to pure FIFO (the mode the LaaS simulator
-	// originally shipped with); exposed for the ablation benchmarks.
-	DisableBackfill bool
-	// Conservative restricts backfilling to candidates that finish by the
-	// head's shadow time, never admitting jobs that merely prove they do
-	// not displace the reservation. This approximates conservative
-	// backfilling's no-delay guarantee for every queued job without its
-	// per-job reservation profile (which is prohibitively expensive under
-	// placement constraints).
-	Conservative bool
-	// ApplySpeedups scales runtimes by the scenario (set for isolating
-	// schedulers; Baseline jobs never speed up).
-	ApplySpeedups bool
-	// MeasureAllocTime records wall-clock time spent in Allocate calls on
-	// the live state (Table 3). Disable for deterministic tests.
-	MeasureAllocTime bool
+	engine.Config
 	// FailEvents injects timed resource failures during Run, interleaved
 	// with job arrivals and completions; empty leaves the run untouched.
 	FailEvents []failtrace.Event
-	// OnFailure picks what happens to running jobs hit by a failure.
-	OnFailure engine.FailurePolicy
-	// Elastic enables the malleability paths (shrink under FailShrink,
-	// grow into idle capacity, deadline admission, priority preemption)
-	// for jobs that declare elastic fields; rigid traces run identically
-	// with it on or off.
-	Elastic bool
 }
 
 // New returns a scheduler with the paper's defaults. Speed-ups apply unless
 // the allocator is the Baseline.
 func New(a alloc.Allocator, sc scenario.Scenario) *Scheduler {
-	return &Scheduler{
+	return &Scheduler{Config: engine.Config{
 		Alloc:            a,
 		Scenario:         sc,
-		Window:           DefaultWindow,
+		Window:           engine.DefaultWindow,
 		ApplySpeedups:    a.Name() != "Baseline",
 		MeasureAllocTime: true,
-	}
+	}}
 }
 
-// Record is the outcome of one job.
-type Record = engine.Record
-
-// UtilPoint is one step of the used-node time series; see engine.UtilPoint.
-type UtilPoint = engine.UtilPoint
-
-// Result aggregates one simulation run.
+// Result aggregates one simulation run: the engine's accounting labelled
+// with the scheme, the trace and the simulated cluster size.
 type Result struct {
-	Scheme string
-	Trace  string
-	// SystemNodes is the simulated cluster size.
-	SystemNodes int
-	Records     []Record
-	// Rejected lists jobs that could not run even on an empty machine
-	// (e.g. larger than the system); they are excluded from metrics.
-	Rejected []trace.Job
-	// UtilSeries is the used-node step function over the whole run.
-	UtilSeries []UtilPoint
-	// InstSamples holds the instantaneous utilization (used/total) observed
-	// at every scheduling or completion event (Table 2).
-	InstSamples []float64
-	// FirstArrival and LastEnd bound the run; SteadyEnd is the last event
-	// time at which the queue was non-empty, i.e. the start of the final
-	// drain (Section 5's steady-state cutoff).
-	FirstArrival, LastEnd, SteadyEnd float64
-	// AllocSeconds is wall-clock time spent in live Allocate calls;
-	// AllocCalls counts them (Table 3 divides by job count).
-	AllocSeconds float64
-	AllocCalls   int
+	Scheme, Trace string
+	SystemNodes   int
+	engine.Accounting
 }
 
 // Engine returns a fresh incremental engine configured exactly as this
-// scheduler; Run is equivalent to submitting the whole trace to it and
-// stepping to exhaustion.
+// scheduler, with the per-job history a Result is built from; Run is
+// equivalent to submitting the whole trace to it and stepping to exhaustion.
 func (s *Scheduler) Engine() (*engine.Engine, error) {
-	w := s.Window
-	if w == 0 {
-		w = DefaultWindow
-	}
-	return engine.New(engine.Config{
-		Alloc:            s.Alloc,
-		Scenario:         s.Scenario,
-		Window:           w,
-		DisableBackfill:  s.DisableBackfill,
-		Conservative:     s.Conservative,
-		ApplySpeedups:    s.ApplySpeedups,
-		OnFailure:        s.OnFailure,
-		Elastic:          s.Elastic,
-		MeasureAllocTime: s.MeasureAllocTime,
-		History:          true, // Result is built from it
-	})
+	cfg := s.Config
+	cfg.History = true
+	return engine.New(cfg)
 }
 
 // Run simulates the whole trace and returns the result. The trace is not
@@ -148,10 +79,7 @@ func (s *Scheduler) Run(tr *trace.Trace) (*Result, error) {
 			return nil, err
 		}
 	}
-	for {
-		if _, ok := eng.Step(); !ok {
-			break
-		}
+	for _, ok := eng.Step(); ok; _, ok = eng.Step() {
 	}
 	if len(s.FailEvents) > 0 {
 		// A still-degraded machine can strand queued jobs (rejection verdicts
@@ -172,19 +100,10 @@ func ResultFrom(eng *engine.Engine, traceName string) (*Result, error) {
 	if snap.UsedNodes != 0 || snap.RunningJobs != 0 {
 		return nil, fmt.Errorf("sched: %d nodes and %d jobs still running after drain", snap.UsedNodes, snap.RunningJobs)
 	}
-	acc := eng.Accounting()
 	return &Result{
-		Scheme:       eng.Config().Alloc.Name(),
-		Trace:        traceName,
-		SystemNodes:  snap.TotalNodes,
-		Records:      acc.Records,
-		Rejected:     acc.Rejected,
-		UtilSeries:   acc.UtilSeries,
-		InstSamples:  acc.InstSamples,
-		FirstArrival: acc.FirstArrival,
-		LastEnd:      acc.LastEnd,
-		SteadyEnd:    acc.SteadyEnd,
-		AllocSeconds: acc.AllocSeconds,
-		AllocCalls:   acc.AllocCalls,
+		Scheme:      eng.Config().Alloc.Name(),
+		Trace:       traceName,
+		SystemNodes: snap.TotalNodes,
+		Accounting:  eng.Accounting(),
 	}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/alloc"
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/laas"
 	"repro/internal/lcs"
 	"repro/internal/scenario"
@@ -304,7 +305,7 @@ func TestLCSSchedulerRuns(t *testing.T) {
 // before the first Run no longer compared equal).
 func TestRunDoesNotMutateScheduler(t *testing.T) {
 	tree := topology.MustNew(4)
-	s := Scheduler{Alloc: baseline.NewAllocator(tree), Scenario: scenario.None{}}
+	s := Scheduler{Config: engine.Config{Alloc: baseline.NewAllocator(tree), Scenario: scenario.None{}}}
 	before := s
 	if _, err := s.Run(tr(16, job(1, 4, 0, 10), job(2, 8, 1, 5))); err != nil {
 		t.Fatal(err)
@@ -322,5 +323,67 @@ func TestRunDoesNotMutateScheduler(t *testing.T) {
 	}
 	if len(r2.Records) != 2 {
 		t.Fatalf("second run records = %d, want 2", len(r2.Records))
+	}
+}
+
+// TestEngineGetsEveryConfigField pins that a Scheduler hands its whole
+// engine.Config to the engine, adding only History (a Result is built from
+// the per-job history). Every other field is set to a non-zero value, and the
+// reflect walk fails when a new engine.Config field is left out here.
+func TestEngineGetsEveryConfigField(t *testing.T) {
+	tree := topology.MustNew(4)
+	cfg := engine.Config{
+		Alloc:            baseline.NewAllocator(tree),
+		Scenario:         scenario.Fixed{Pct: 10},
+		Window:           7,
+		DisableBackfill:  true,
+		ApplySpeedups:    true,
+		MeasureAllocTime: true,
+		OnFailure:        engine.FailKill,
+		Elastic:          true,
+		TotalNodes:       12,
+	}
+	v := reflect.ValueOf(cfg)
+	for i := 0; i < v.NumField(); i++ {
+		if name := v.Type().Field(i).Name; name != "History" && v.Field(i).IsZero() {
+			t.Fatalf("engine.Config.%s is zero; set it so the test covers it", name)
+		}
+	}
+	s := Scheduler{Config: cfg}
+	eng, err := s.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg
+	want.History = true
+	if got := eng.Config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine config = %+v, want %+v", got, want)
+	}
+	if eng.TotalNodes() != 12 {
+		t.Fatalf("engine TotalNodes = %d, want the configured 12", eng.TotalNodes())
+	}
+}
+
+// TestRunSurfacesEngineErrors pins that Run and ResultFrom return errors
+// instead of a partial Result: a scheduler without an allocator, a trace
+// that repeats a job ID, and an engine that still runs a job.
+func TestRunSurfacesEngineErrors(t *testing.T) {
+	if _, err := (&Scheduler{}).Run(tr(16, job(1, 4, 0, 10))); err == nil {
+		t.Fatal("a scheduler without an allocator must not run")
+	}
+	s := newSched(baseline.NewAllocator(topology.MustNew(4)))
+	if _, err := s.Run(tr(16, job(1, 4, 0, 10), job(1, 4, 1, 10))); err == nil {
+		t.Fatal("a repeated job ID must fail the run")
+	}
+	eng, err := s.Engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Submit(job(2, 4, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	eng.Step() // starts job 2
+	if _, err := ResultFrom(eng, "test"); err == nil {
+		t.Fatal("ResultFrom must refuse an engine with a running job")
 	}
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // SynthConfig parameterizes the paper's synthetic trace generator
@@ -150,7 +151,7 @@ func LLNL(cfg LLNLConfig) *Trace {
 		for i := range at {
 			at[i] = diurnal(rng.Float64()) * span
 		}
-		sortFloats(at)
+		slices.Sort(at)
 		for i := range tr.Jobs {
 			tr.Jobs[i].Arrival = at[i]
 		}
@@ -202,35 +203,6 @@ func pinExtremes(tr *Trace, maxSize int, minRun, maxRun float64) {
 	tr.Jobs[n/3].Runtime = minRun + (maxRun-minRun)/100
 	tr.Jobs[n/2].Runtime = minRun
 	tr.Jobs[2*n/3].Runtime = maxRun
-}
-
-func sortFloats(a []float64) {
-	// Heapsort: avoids importing sort for one call and is deterministic.
-	n := len(a)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(a, i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		a[0], a[end] = a[end], a[0]
-		siftDown(a, 0, end)
-	}
-}
-
-func siftDown(a []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && a[child+1] > a[child] {
-			child++
-		}
-		if a[root] >= a[child] {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
-	}
 }
 
 // scaleCount scales a paper job count by the harness scale factor, keeping

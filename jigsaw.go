@@ -23,7 +23,6 @@
 package jigsaw
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/alloc"
@@ -70,7 +69,7 @@ type (
 	// Result aggregates one simulation run.
 	Result = sched.Result
 	// Record is the outcome of one job.
-	Record = sched.Record
+	Record = engine.Record
 )
 
 // Online scheduling types (the jigsawd daemon's core; see internal/engine).
@@ -88,7 +87,7 @@ type (
 )
 
 // DefaultWindow is the paper's EASY backfill lookahead (Section 5.4.3).
-const DefaultWindow = sched.DefaultWindow
+const DefaultWindow = engine.DefaultWindow
 
 // Routing types.
 type (
@@ -144,14 +143,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
 func Scenarios() []Scenario { return scenario.All() }
 
 // ScenarioByName finds a scenario by its figure label.
-func ScenarioByName(name string) (Scenario, error) {
-	for _, sc := range scenario.All() {
-		if sc.Name() == name {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("jigsaw: unknown scenario %q", name)
-}
+func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name) }
 
 // Traces returns the paper's nine evaluation workloads (Table 1). scale in
 // (0, 1] shrinks job counts; 1.0 reproduces the paper's counts.
