@@ -42,7 +42,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, err := experiments.Run(tr, *scheme, sc, true)
+	res, err := experiments.Run(tr, *scheme, sc)
 	if err != nil {
 		fatal(err)
 	}
@@ -53,7 +53,6 @@ func main() {
 	fmt.Printf("  makespan:                    %.0f s\n", metrics.Makespan(res))
 	fmt.Printf("  mean turnaround (all jobs):  %.0f s\n", metrics.MeanTurnaround(res, 0))
 	fmt.Printf("  mean turnaround (>100):      %.0f s\n", metrics.MeanTurnaround(res, 100))
-	fmt.Printf("  avg scheduling time per job: %.6f s\n", metrics.AvgSchedTime(res))
 	if len(res.Rejected) > 0 {
 		fmt.Printf("  rejected jobs:               %d\n", len(res.Rejected))
 	}

@@ -69,7 +69,7 @@ func TestUtilizationOrdering(t *testing.T) {
 	tr := trace.Synth16(0.05)
 	util := map[string]float64{}
 	for _, scheme := range []string{"Baseline", "Jigsaw", "LaaS", "TA"} {
-		res, err := Run(tr, scheme, scenario.None{}, false)
+		res, err := Run(tr, scheme, scenario.None{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestFigure8DataMakespanImprovesWithSpeedups(t *testing.T) {
 }
 
 func TestRunUnknownScheme(t *testing.T) {
-	if _, err := Run(trace.Synth16(0.02), "bogus", scenario.None{}, false); err == nil {
+	if _, err := Run(trace.Synth16(0.02), "bogus", scenario.None{}); err == nil {
 		t.Fatal("unknown scheme must error")
 	}
 }

@@ -1,9 +1,12 @@
 package ingest
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func op(id int64) *Op { return &Op{Kind: Cancel, ID: id} }
@@ -32,14 +35,14 @@ func TestEnqueueBoundsAndAllOrNothing(t *testing.T) {
 	}
 
 	// Collect honors the batch bound and releases slots.
-	batch := b.Collect(<-b.C(), nil)
+	batch := b.Collect(nil)
 	if len(batch) != 2 || batch[0].ID != 1 || batch[1].ID != 2 {
 		t.Fatalf("collect = %v ops, want FIFO [1 2]", ids(batch))
 	}
 	if b.Len() != 2 {
 		t.Fatalf("Len after collect = %d, want 2", b.Len())
 	}
-	batch = b.Collect(<-b.C(), batch)
+	batch = b.Collect(batch)
 	if len(batch) != 2 || batch[0].ID != 3 || batch[1].ID != 4 {
 		t.Fatalf("second collect = %v, want [3 4]", ids(batch))
 	}
@@ -97,8 +100,8 @@ func TestConcurrentProducersExactlyOnce(t *testing.T) {
 		var buf []*Op
 		for {
 			select {
-			case first := <-b.C():
-				buf = b.Collect(first, buf)
+			case <-b.Wake():
+				buf = b.Collect(buf)
 				for _, o := range buf {
 					if n, loaded := consumed.LoadOrStore(o.ID, 1); loaded {
 						consumed.Store(o.ID, n.(int)+1)
@@ -171,5 +174,117 @@ func TestConcurrentProducersExactlyOnce(t *testing.T) {
 	}
 	if b.Accepted()+b.Rejected() != producers*perProd {
 		t.Fatalf("accepted %d + rejected %d != %d offered", b.Accepted(), b.Rejected(), producers*perProd)
+	}
+}
+
+// TestCollectNeverSplitsAnEnqueue pins directly what a lane relies on to keep
+// its clock still inside one request: concurrent producers enqueue
+// multi-op batches, and a Collect that returns part of one enqueue must find
+// the rest already queued (Len at least the remainder), at the head of the
+// next Collect. Within a Collect every enqueue's ops are contiguous and in
+// order. The batch bound is smaller than most enqueues, so many straddle
+// Collects.
+func TestCollectNeverSplitsAnEnqueue(t *testing.T) {
+	const (
+		producers = 6
+		perProd   = 150
+		maxBatch  = 5
+	)
+	b := NewBatcher(64, maxBatch)
+	// An op names its enqueue in Job.ID, the enqueue's size in Job.Size, and
+	// its own place in it in ID.
+	quit := make(chan struct{})
+	consumerDone := make(chan struct{})
+	var failure string
+	go func() {
+		defer close(consumerDone)
+		var buf []*Op
+		var open *Op // an op of the enqueue the last Collect took in part
+		var next int64
+		check := func(buf []*Op, depth int) bool {
+			for _, o := range buf {
+				switch {
+				case open != nil && (o.Job.ID != open.Job.ID || o.ID != next):
+					failure = fmt.Sprintf("enqueue %d broken: op %d of enqueue %d where op %d was due", open.Job.ID, o.ID, o.Job.ID, next)
+					return false
+				case open == nil && o.ID != 0:
+					failure = fmt.Sprintf("enqueue %d starts at op %d", o.Job.ID, o.ID)
+					return false
+				}
+				open, next = o, o.ID+1
+				if next == int64(o.Job.Size) {
+					open = nil
+				}
+			}
+			if open != nil && depth < open.Job.Size-int(next) {
+				failure = fmt.Sprintf("Collect took %d ops of enqueue %d while %d of the other %d were queued",
+					next, open.Job.ID, depth, open.Job.Size-int(next))
+				return false
+			}
+			return true
+		}
+		finish := func(buf []*Op) {
+			for _, o := range buf {
+				o.Finish()
+			}
+		}
+		for {
+			select {
+			case <-b.Wake():
+				buf = b.Collect(buf)
+				ok := check(buf, b.Len())
+				finish(buf)
+				if !ok {
+					return
+				}
+			case <-quit:
+				buf = b.DrainRemaining(buf)
+				if check(buf, 0) && open != nil {
+					failure = fmt.Sprintf("enqueue %d never completed", open.Job.ID)
+				}
+				finish(buf)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < perProd; i++ {
+				size := 1 + (p*7+i)%12
+				ops := make([]*Op, size)
+				for k := range ops {
+					ops[k] = &Op{Kind: Cancel, ID: int64(k), Job: trace.Job{ID: int64(p*perProd + i), Size: size}}
+				}
+				batch, err := b.Enqueue(ops...)
+				if err == ErrOverloaded {
+					continue
+				}
+				if err != nil {
+					t.Errorf("enqueue: %v", err)
+					return
+				}
+				batch.Wait()
+			}
+		}(p)
+	}
+	// A consumer that stopped on a failure finishes nothing more, so the
+	// producers are not waited on then.
+	producersDone := make(chan struct{})
+	go func() { wg.Wait(); close(producersDone) }()
+	select {
+	case <-producersDone:
+		close(quit)
+		<-consumerDone
+	case <-consumerDone:
+	}
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	if b.Accepted() == 0 {
+		t.Fatal("no enqueue was admitted")
 	}
 }

@@ -156,8 +156,8 @@ func runBatchedVsSerial(t *testing.T, policy string, seed int64, tree *topology.
 	flush := func() {
 		for {
 			select {
-			case first := <-b.C():
-				buf = b.Collect(first, buf)
+			case <-b.Wake():
+				buf = b.Collect(buf)
 				for _, op := range buf {
 					ab.Apply(op)
 					op.Finish()

@@ -1,37 +1,24 @@
-// Package ingest is the concurrent front door of the daemon: a bounded
-// multi-producer/single-consumer batching queue between the HTTP goroutines
-// and the engine goroutine, plus the applier that replays queued operations
-// on the engine with semantics identical to one-at-a-time submission.
+// Package ingest is the daemon's front door: a bounded multi-producer,
+// single-consumer queue between the HTTP goroutines and the engine
+// goroutine, and the applier that replays queued operations on the engine
+// exactly as one-at-a-time submission would.
 //
-// # Why batching
-//
-// The engine is single-threaded; the serial server paid one channel
-// rendezvous (enqueue, run, signal) per HTTP request, so the request rate
-// was capped by the engine goroutine's wake-up latency, not by scheduling
-// cost. The Batcher decouples the two: producers enqueue operations without
-// waiting for the engine to wake, and the engine goroutine drains everything
-// queued — up to a batch-size bound — in one tick, paying the coordination
-// cost once per drain instead of once per request.
-//
-// # Overload, not blocking
-//
-// The queue is bounded and Enqueue never blocks: when the queue is full it
-// fails with ErrOverloaded so the HTTP layer can answer 429 immediately.
-// Multi-op enqueues are admitted all-or-nothing via lock-free slot
-// reservation, so a batch is never half-queued.
-//
-// # Shutdown
-//
-// Producers enqueue under a read lock; CloseEnqueue takes the write lock.
-// Once CloseEnqueue returns, no producer is mid-send, so the queue's
-// remaining contents are complete and the consumer can drain to empty —
-// this is what guarantees Server.Close never drops an accepted operation.
+// A Batcher is a ring of ops behind one mutex, which also guards the closed
+// flag and the counters, plus a one-slot wake channel. Enqueue never blocks:
+// under the lock it admits all of its ops or none (ErrOverloaded when fewer
+// slots are free, so the HTTP layer can answer 429 at once; ErrClosed after
+// CloseEnqueue), so an enqueue is queued whole and contiguous, and it leaves
+// one wake-up. The engine goroutine waits on Wake, so no request pays a
+// rendezvous with it, and Collects up to the batch bound from the head to
+// apply in one tick; a Collect that leaves ops behind re-arms the wake-up,
+// and one that finds the ring empty is no turn. CloseEnqueue takes the same
+// lock, so once it returns the ring holds all it ever will and
+// DrainRemaining empties it: Server.Close never drops an accepted operation.
 package ingest
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -88,123 +75,108 @@ func (op *Op) Finish() { op.wg.Done() }
 
 // Batch ties one Enqueue call's ops to a completion signal. Ops may be
 // finished across several drains; Wait returns when every op has results.
-type Batch struct {
-	Ops []*Op
-	wg  sync.WaitGroup
-}
+type Batch struct{ wg sync.WaitGroup }
 
 // Wait blocks until every op in the batch has been applied and finished.
 func (b *Batch) Wait() { b.wg.Wait() }
 
 // Batcher is the bounded MPSC operation queue. Producers call Enqueue from
-// any goroutine; exactly one consumer (the engine goroutine) receives from
-// C and collects batches.
+// any goroutine; exactly one consumer (the engine goroutine) waits on Wake
+// and collects batches.
 type Batcher struct {
-	ops      chan *Op
 	maxBatch int
+	wake     chan struct{} // one slot: a wake-up is pending or not
 
-	// avail is the number of free queue slots. Producers reserve slots with
-	// a CAS loop before sending (all-or-nothing for multi-op enqueues, and
-	// the guarantee that sends on ops never block); the consumer returns
-	// slots as it takes ops out.
-	avail atomic.Int64
-
-	// mu gates enqueues against shutdown and against Collect: producers hold
-	// the read side across the reserve-and-send sequence; CloseEnqueue takes
-	// the write side, so after CloseEnqueue no send is in flight; Collect
-	// takes it so that it sees multi-op enqueues whole.
-	mu     sync.RWMutex
-	closed bool
-
-	accepted atomic.Int64 // ops admitted
-	rejected atomic.Int64 // ops refused with ErrOverloaded
+	mu       sync.Mutex
+	ring     []*Op // queued ops are ring[head], ring[head+1], … n of them, mod len
+	head, n  int
+	closed   bool
+	accepted int64 // ops admitted
+	rejected int64 // ops refused with ErrOverloaded
 }
 
 // NewBatcher builds a queue holding up to queueCap ops, drained at most
 // maxBatch at a time. Bounds below 1 are raised to 1.
 func NewBatcher(queueCap, maxBatch int) *Batcher {
-	if queueCap < 1 {
-		queueCap = 1
+	return &Batcher{
+		maxBatch: max(maxBatch, 1),
+		wake:     make(chan struct{}, 1),
+		ring:     make([]*Op, max(queueCap, 1)),
 	}
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	b := &Batcher{ops: make(chan *Op, queueCap), maxBatch: maxBatch}
-	b.avail.Store(int64(queueCap))
-	return b
 }
 
 // Enqueue admits all ops or none. It never blocks: if fewer than len(ops)
 // slots are free it fails with ErrOverloaded, and after CloseEnqueue it
 // fails with ErrClosed. On success the returned Batch's Wait blocks until
-// the engine goroutine has applied and finished every op.
+// the engine goroutine has applied and finished every op. The ops slice
+// itself is not retained.
 func (b *Batcher) Enqueue(ops ...*Op) (*Batch, error) {
-	n := int64(len(ops))
-	batch := &Batch{Ops: ops}
-	if n == 0 {
+	batch := &Batch{}
+	if len(ops) == 0 {
 		return batch, nil
 	}
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
 	if b.closed {
+		b.mu.Unlock()
 		return nil, ErrClosed
 	}
-	for {
-		free := b.avail.Load()
-		if free < n {
-			b.rejected.Add(n)
-			return nil, ErrOverloaded
-		}
-		if b.avail.CompareAndSwap(free, free-n) {
-			break
-		}
+	if len(b.ring)-b.n < len(ops) {
+		b.rejected += int64(len(ops))
+		b.mu.Unlock()
+		return nil, ErrOverloaded
 	}
 	batch.wg.Add(len(ops))
 	for _, op := range ops {
 		op.wg = &batch.wg
-		b.ops <- op // cannot block: slots reserved above
+		b.ring[(b.head+b.n)%len(b.ring)] = op
+		b.n++
 	}
-	b.accepted.Add(n)
+	b.accepted += int64(len(ops))
+	b.mu.Unlock()
+	b.signal()
 	return batch, nil
 }
 
-// C is the consumer's receive channel, exposed so the engine goroutine can
-// select over ops, timers, and shutdown at once. After receiving a first
-// op, call Collect to greedily take the rest of the drain's batch.
-func (b *Batcher) C() <-chan *Op { return b.ops }
+// signal leaves one wake-up for the consumer; wake-ups do not pile up.
+func (b *Batcher) signal() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
 
-// Collect forms one drain batch: first (already received from C) plus every
-// immediately-available op, up to the batch-size bound, appended into buf
-// (reused; contents overwritten). Queue slots are released as ops are
-// taken.
-//
-// It excludes producers for the few microseconds it runs: the write lock
-// waits out an Enqueue that is still sending and holds off new ones, so a
-// multi-op Enqueue is never collected in part. Otherwise a consumer that
-// outruns a producer's send loop would apply half a batch, find the queue
-// momentarily empty, and let the engine step its clock before the other half
-// arrives.
-func (b *Batcher) Collect(first *Op, buf []*Op) []*Op {
+// Wake is ready when ops may be queued. The consumer receives from it, so it
+// can select over ops, timers and shutdown at once, and then calls Collect.
+func (b *Batcher) Wake() <-chan struct{} { return b.wake }
+
+// Collect forms one drain batch: up to the batch bound of the oldest queued
+// ops, appended into buf (reused; contents overwritten). If ops remain it
+// re-arms the wake-up. It returns an empty batch when an earlier Collect
+// already took what the wake-up announced.
+func (b *Batcher) Collect(buf []*Op) []*Op {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	buf = append(buf[:0], first)
-	b.avail.Add(1)
-	for len(buf) < b.maxBatch {
-		select {
-		case op := <-b.ops:
-			buf = append(buf, op)
-			b.avail.Add(1)
-		default:
-			return buf
-		}
+	buf = b.take(buf[:0], b.maxBatch)
+	if b.n > 0 {
+		b.signal()
+	}
+	return buf
+}
+
+// take moves up to k ops from the head of the ring to buf. Callers hold mu.
+func (b *Batcher) take(buf []*Op, k int) []*Op {
+	for ; k > 0 && b.n > 0; k-- {
+		buf = append(buf, b.ring[b.head])
+		b.ring[b.head] = nil
+		b.head = (b.head + 1) % len(b.ring)
+		b.n--
 	}
 	return buf
 }
 
 // CloseEnqueue stops admission: every later Enqueue fails with ErrClosed.
-// When it returns, no producer is mid-send, so the queue holds everything
-// it will ever hold and DrainRemaining empties it completely. Safe to call
-// more than once.
+// When it returns, the queue holds everything it will ever hold and
+// DrainRemaining empties it completely. Safe to call more than once.
 func (b *Batcher) CloseEnqueue() {
 	b.mu.Lock()
 	b.closed = true
@@ -214,31 +186,36 @@ func (b *Batcher) CloseEnqueue() {
 // DrainRemaining takes every op still queued after CloseEnqueue, without
 // the batch-size bound (shutdown wants one final full drain).
 func (b *Batcher) DrainRemaining(buf []*Op) []*Op {
-	buf = buf[:0]
-	for {
-		select {
-		case op := <-b.ops:
-			buf = append(buf, op)
-			b.avail.Add(1)
-		default:
-			return buf
-		}
-	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.take(buf[:0], b.n)
 }
 
 // Accepted returns the number of ops admitted so far.
-func (b *Batcher) Accepted() int64 { return b.accepted.Load() }
+func (b *Batcher) Accepted() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.accepted
+}
 
 // Rejected returns the number of ops refused with ErrOverloaded, the
 // jigsawd_ingest_rejected_total counter.
-func (b *Batcher) Rejected() int64 { return b.rejected.Load() }
+func (b *Batcher) Rejected() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rejected
+}
 
-// Len approximates the current queue depth (admitted ops not yet taken by
-// the consumer).
-func (b *Batcher) Len() int { return int(int64(cap(b.ops)) - b.avail.Load()) }
+// Len is the current queue depth: admitted ops not yet taken by the
+// consumer.
+func (b *Batcher) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.n
+}
 
 // Cap returns the queue bound.
-func (b *Batcher) Cap() int { return cap(b.ops) }
+func (b *Batcher) Cap() int { return len(b.ring) }
 
 // Applier replays ops on the engine exactly as the serial HTTP path did:
 // each op is applied on its own — submit, advance to the engine's current

@@ -131,7 +131,7 @@ func TestBatchResponseGoldenBytes(t *testing.T) {
 }
 
 func TestBatchLargerThanQueueCapacityRejected(t *testing.T) {
-	_, hs := newTestServer(t, Config{VirtualClock: true, IngestQueue: 4})
+	_, hs := newTestServer(t, Config{VirtualClock: true, ingestQueue: 4})
 	items := make([]string, 5)
 	for i := range items {
 		items[i] = `{"size":1,"runtime":1}`
@@ -151,8 +151,8 @@ func TestBackpressure429(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			s, hs := newTestServer(t, Config{
-				NowFunc:     func() float64 { return 0 },
-				IngestQueue: 2,
+				nowFunc:     func() float64 { return 0 },
+				ingestQueue: 2,
 				Shards:      shards,
 			})
 
@@ -280,7 +280,7 @@ func TestBackpressure429(t *testing.T) {
 // carry the snapshot sequence, the fabric state version, and the publish
 // time, so read-path staleness is observable.
 func TestSnapshotMetadataOnReads(t *testing.T) {
-	_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }})
+	_, hs := newTestServer(t, Config{nowFunc: func() float64 { return 0 }})
 	postJob(t, hs.URL, `{"size":4,"runtime":100}`)
 
 	for _, path := range []string{"/v1/queue", "/v1/cluster"} {
@@ -312,7 +312,7 @@ func TestHTTPBatchedMatchesSerial(t *testing.T) {
 	cfg := func() Config {
 		return Config{
 			Alloc:   baseline.NewAllocator(topology.MustNew(4)),
-			NowFunc: func() float64 { return 0 },
+			nowFunc: func() float64 { return 0 },
 		}
 	}
 	_, serialHS := newTestServer(t, cfg())
@@ -463,5 +463,117 @@ func TestShutdownDrainsAcceptedWorkUnderLoad(t *testing.T) {
 	}
 	if err := s.lanes[0].do(func(e *engine.Engine) {}); err != ErrClosed {
 		t.Fatalf("post-close do = %v, want ErrClosed", err)
+	}
+}
+
+// answer is one HTTP response as TestSubmitAndOneItemBatchAgree compares it.
+type answer struct {
+	code       int
+	retryAfter string
+	err        string // the body's error, or the one batch item's
+	accepted   int    // batch only
+}
+
+func post(t *testing.T, url, body string) answer {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b struct {
+		Error    string `json:"error"`
+		Accepted int    `json:"accepted"`
+		Results  []struct {
+			Error string `json:"error"`
+		} `json:"results"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&b); err != nil {
+		t.Fatal(err)
+	}
+	a := answer{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), err: b.Error, accepted: b.Accepted}
+	if len(b.Results) == 1 {
+		a.err = b.Results[0].Error
+	}
+	return a
+}
+
+// TestSubmitAndOneItemBatchAgree: POST /v1/jobs and a one-item
+// /v1/jobs:batch run one admission path, so they agree on every outcome, at 1
+// and 4 lanes. A success, a full queue and a closing server answer the same
+// status on both (a 429 with the same Retry-After); an invalid job (400) and a
+// duplicate ID (409) are the single submit's status and the batch's one
+// failed item, with the same error.
+func TestSubmitAndOneItemBatchAgree(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), VirtualClock: true, Shards: shards, ingestQueue: 4})
+			both := func(job string) (single, batch answer) {
+				return post(t, hs.URL+"/v1/jobs", job), post(t, hs.URL+"/v1/jobs:batch", `{"jobs":[`+job+`]}`)
+			}
+			same := func(outcome, job string, code int) {
+				t.Helper()
+				single, batch := both(job)
+				if single.code != code || batch.code != code || single.retryAfter != batch.retryAfter {
+					t.Fatalf("%s: single %+v, batch %+v, want both %d", outcome, single, batch, code)
+				}
+				if code == http.StatusTooManyRequests && single.retryAfter == "" {
+					t.Fatalf("%s: 429 without Retry-After", outcome)
+				}
+			}
+			itemFails := func(outcome, job string, code int) {
+				t.Helper()
+				single, batch := both(job)
+				if single.code != code || single.err == "" ||
+					batch.code != http.StatusAccepted || batch.accepted != 0 || batch.err != single.err {
+					t.Fatalf("%s: single %+v, batch %+v, want %d and a failed item", outcome, single, batch, code)
+				}
+			}
+			wide := fmt.Sprintf(`{"id":900,"size":%d,"runtime":1}`, s.maxCell+1)
+
+			same("success", `{"size":1,"runtime":1}`, http.StatusAccepted)
+			itemFails("invalid", `{"size":0,"runtime":1}`, http.StatusBadRequest)
+			if code, _ := postJob(t, hs.URL, `{"id":800,"size":1,"runtime":1}`); code.StatusCode != http.StatusAccepted {
+				t.Fatalf("seed job: %d", code.StatusCode)
+			}
+			itemFails("duplicate", `{"id":800,"size":1,"runtime":1}`, http.StatusConflict)
+			if shards > 1 {
+				if code, _ := postJob(t, hs.URL, wide); code.StatusCode != http.StatusAccepted {
+					t.Fatalf("seed wide job: %d", code.StatusCode)
+				}
+				itemFails("wide duplicate", wide, http.StatusConflict)
+			}
+
+			// Full queues: every lane parked, its queue filled to the bound.
+			var fill []*ingest.Batch
+			var releases []func()
+			for _, l := range s.lanes {
+				_, release, err := l.park()
+				if err != nil {
+					t.Fatal(err)
+				}
+				releases = append(releases, release)
+				for l.batcher.Len() < l.batcher.Cap() {
+					b, err := l.batcher.Enqueue(&ingest.Op{Kind: ingest.Cancel, ID: -1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fill = append(fill, b)
+				}
+			}
+			same("full queue", `{"size":1,"runtime":1}`, http.StatusTooManyRequests)
+			for _, release := range releases {
+				release()
+			}
+			for _, b := range fill {
+				b.Wait()
+			}
+
+			s.Close()
+			same("closing", `{"size":1,"runtime":1}`, http.StatusServiceUnavailable)
+			if shards > 1 {
+				same("closing, wide", fmt.Sprintf(`{"size":%d,"runtime":1}`, s.maxCell+1), http.StatusServiceUnavailable)
+			}
+		})
 	}
 }

@@ -47,7 +47,7 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,37 +265,29 @@ func (c *coordinator) status(id int64) (engine.JobStatus, error) {
 	return snapshot.MergeStatuses(sts), nil
 }
 
-// cancel serves DELETE for a cross-owned job: a waiting job is removed from
-// the FIFO; a running job is cancelled slice-by-slice on its member lanes
-// (each lane releases its slice's resources; the merged status is returned).
-func (c *coordinator) cancel(w http.ResponseWriter, id int64) {
+// cancel withdraws a cross-owned job: a waiting job is removed from the
+// FIFO; a running job is cancelled slice-by-slice on its member lanes (each
+// lane releases its slice's resources; the merged status is returned).
+func (c *coordinator) cancel(id int64) (engine.JobStatus, error) {
 	c.mu.Lock()
 	cj, ok := c.jobs[id]
 	if !ok {
 		c.mu.Unlock()
-		writeError(w, http.StatusNotFound, "unknown job %d", id)
-		return
+		return engine.JobStatus{}, errUnknownJob(id)
 	}
 	switch cj.state {
 	case crossWaiting:
 		cj.state = crossCancelled
-		for i, q := range c.fifo {
-			if q == cj {
-				c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
-				break
-			}
-		}
+		c.fifo = slices.DeleteFunc(c.fifo, func(q *crossJob) bool { return q == cj })
 		st := cj.queued()
 		c.mu.Unlock()
 		// The head may have changed; let the placement goroutine re-examine.
 		c.signalWake()
 		st.State = engine.StateCancelled
-		writeJSON(w, http.StatusOK, toJobJSON(st))
-		return
+		return st, nil
 	case crossCancelled:
 		c.mu.Unlock()
-		writeError(w, http.StatusConflict, "job %d is already cancelled", id)
-		return
+		return engine.JobStatus{}, fmt.Errorf("job %d is already cancelled", id)
 	}
 	members := cj.members
 	c.mu.Unlock()
@@ -308,12 +300,11 @@ func (c *coordinator) cancel(w http.ResponseWriter, id int64) {
 	})
 	switch {
 	case err != nil:
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		return engine.JobStatus{}, err
 	case cancelled == 0:
-		writeError(w, http.StatusConflict, "%v", lastErr)
-	default:
-		writeJSON(w, http.StatusOK, toJobJSON(snapshot.MergeStatuses(sts)))
+		return engine.JobStatus{}, lastErr
 	}
+	return snapshot.MergeStatuses(sts), nil
 }
 
 // run is the placement goroutine: woken by submits, cancels, and lane

@@ -303,7 +303,7 @@ func TestCrossParkFailureUnwind(t *testing.T) {
 	pollJob(t, hs.URL, id, "completed")
 }
 
-// fakeClock is a settable Config.NowFunc.
+// fakeClock is a settable Config.nowFunc.
 type fakeClock struct {
 	mu  sync.Mutex
 	now float64
@@ -321,7 +321,7 @@ func (c *fakeClock) Set(v float64) { c.mu.Lock(); c.now = v; c.mu.Unlock() }
 // lanes from the Views the release published.
 func TestCrossLostRaceRetriesFromFreshViews(t *testing.T) {
 	clock := &fakeClock{}
-	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, NowFunc: clock.Now})
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, nowFunc: clock.Now})
 	base := hs.URL
 
 	taken := map[int64]bool{}
@@ -362,7 +362,7 @@ func TestCrossLostRaceRetriesFromFreshViews(t *testing.T) {
 // must stop after its budget and leave the job waiting for the next wake.
 func TestCrossRetryBudget(t *testing.T) {
 	clock := &fakeClock{}
-	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(16)), Shards: 16, NowFunc: clock.Now})
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(16)), Shards: 16, nowFunc: clock.Now})
 	taken := map[int64]bool{}
 	var fillers []int64
 	for ci := 0; ci < 16; ci++ {
@@ -398,7 +398,7 @@ func TestCrossRetryBudget(t *testing.T) {
 // the job in the same attempt.
 func TestCrossRecomposesWhenTimeFreedCapacity(t *testing.T) {
 	clock := &fakeClock{}
-	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, NowFunc: clock.Now})
+	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, nowFunc: clock.Now})
 	base := hs.URL
 
 	small := idForCell(t, s, 0, 4, map[int64]bool{})
@@ -492,7 +492,7 @@ func TestCrossAfterClose(t *testing.T) {
 	if _, err := s.cross.submit(trace.Job{ID: 500002, Size: 40, Runtime: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
-	if resp, _ := postJob(t, base, `{"id":500003,"size":40,"runtime":1}`); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJob(t, base, `{"id":500003,"size":40,"runtime":1}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP wide submit after close: %d", resp.StatusCode)
 	}
 	// The gateway routed 500003 to the coordinator, which never took it.

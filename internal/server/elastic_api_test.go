@@ -79,7 +79,7 @@ func postForError(t *testing.T, url, body string) (int, string) {
 func TestElasticSubmitEchoesFieldsAndVerdict(t *testing.T) {
 	// Frozen wall clock: the blocker stays running so the deadline estimates
 	// below are computed against a full machine.
-	_, hs := newTestServer(t, Config{Elastic: true, NowFunc: func() float64 { return 0 }})
+	_, hs := newTestServer(t, Config{Elastic: true, nowFunc: func() float64 { return 0 }})
 
 	// Blocker: the whole 16-node machine until t=100.
 	if resp, _ := postJob(t, hs.URL, `{"size":16,"runtime":100}`); resp.StatusCode != http.StatusAccepted {
@@ -124,7 +124,7 @@ func TestShrinkPolicyOverAPI(t *testing.T) {
 	_, hs := newTestServer(t, Config{
 		Elastic:   true,
 		OnFailure: engine.FailShrink,
-		NowFunc:   func() float64 { return 0 },
+		nowFunc:   func() float64 { return 0 },
 	})
 
 	// A malleable whole-machine job (16 nodes, MinNodes 2).

@@ -70,11 +70,10 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 			for _, applied := range lanes[:i] {
 				applied.do(func(e *engine.Engine) { e.Recover(f) })
 			}
-			if err != nil {
-				writeError(w, http.StatusServiceUnavailable, "%v", err)
-			} else {
-				writeError(w, http.StatusConflict, "%v", failErr)
+			if err == nil {
+				err = failErr
 			}
+			writeFailure(w, err)
 			return
 		}
 		agg.Affected += rep.Affected
@@ -109,7 +108,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 			recErr = e.Recover(f)
 			degraded = degraded || e.Degraded()
 		}); err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			writeFailure(w, err)
 			return
 		}
 		if recErr != nil && firstErr == nil {
@@ -117,7 +116,7 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if firstErr != nil {
-		writeError(w, http.StatusConflict, "%v", firstErr)
+		writeFailure(w, firstErr)
 		return
 	}
 	s.log.Info("resource recovered", "failure", f.String(), "degraded", degraded)

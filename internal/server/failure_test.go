@@ -42,7 +42,7 @@ func getText(t *testing.T, url string) (int, string) {
 func TestFailRecoverEndpoints(t *testing.T) {
 	// A frozen wall clock keeps the submitted job running for the whole test
 	// (virtual mode would fast-forward it to completion between requests).
-	_, hs := newTestServer(t, Config{NowFunc: func() float64 { return 0 }})
+	_, hs := newTestServer(t, Config{nowFunc: func() float64 { return 0 }})
 
 	// Healthy daemon: "ok".
 	if code, body := getText(t, hs.URL+"/healthz"); code != http.StatusOK || body != "ok\n" {

@@ -11,9 +11,8 @@ package server
 // the goroutine. What the two clocks disagree on is the clock type's alone.
 
 import (
+	"errors"
 	"math"
-	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +22,7 @@ import (
 )
 
 // clock is the daemon's one virtual-or-wall decision: server.New builds it
-// from Config.VirtualClock and Config.NowFunc, and nothing else reads those.
+// from Config.VirtualClock and Config.nowFunc, and nothing else reads those.
 type clock interface {
 	name() string // what /v1/cluster reports
 	// at is the instant given to a job's asked-for arrival, or to the latest
@@ -176,11 +175,11 @@ func (l *lane) close() {
 }
 
 // loop is the engine goroutine, the only code that touches l.eng and the only
-// owner of a timer: a non-blocking poll of the batch, admin-closure and quit
-// channels, an idle turn when none is ready, and one blocking wait for as long
-// as that turn allows. The poll has no priority order: Go picks uniformly at
-// random among ready cases, and that random choice is what keeps closures
-// from starving behind an ingest storm.
+// owner of a timer: a non-blocking poll of the ingest wake-up, admin-closure
+// and quit channels, an idle turn when none is ready, and one blocking wait
+// for as long as that turn allows. The poll has no priority order: Go picks
+// uniformly at random among ready cases, and that random choice is what keeps
+// closures from starving behind an ingest storm.
 func (l *lane) loop() {
 	defer close(l.done)
 	var buf []*ingest.Op
@@ -188,8 +187,8 @@ func (l *lane) loop() {
 	timer.Stop()
 	for {
 		select {
-		case first := <-l.batcher.C():
-			buf = l.applyBatch(first, buf)
+		case <-l.batcher.Wake():
+			buf = l.applyBatch(buf)
 			continue
 		case r := <-l.reqs:
 			l.runAdmin(r)
@@ -208,8 +207,8 @@ func (l *lane) loop() {
 			wake = timer.C
 		}
 		select {
-		case first := <-l.batcher.C():
-			buf = l.applyBatch(first, buf)
+		case <-l.batcher.Wake():
+			buf = l.applyBatch(buf)
 		case r := <-l.reqs:
 			l.runAdmin(r)
 		case <-wake:
@@ -328,10 +327,13 @@ func (l *lane) publish(now time.Time) {
 	l.publishPending = true
 }
 
-// applyBatch coalesces everything queued behind first into one drain.
-func (l *lane) applyBatch(first *ingest.Op, buf []*ingest.Op) []*ingest.Op {
-	buf = l.batcher.Collect(first, buf)
-	l.drain(time.Now(), buf)
+// applyBatch takes one wake-up's batch and drains it. A wake-up whose ops an
+// earlier Collect already took is no turn: nothing is drained, published or
+// sampled for the drain rate.
+func (l *lane) applyBatch(buf []*ingest.Op) []*ingest.Op {
+	if buf = l.batcher.Collect(buf); len(buf) > 0 {
+		l.drain(time.Now(), buf)
+	}
 	return buf
 }
 
@@ -392,11 +394,17 @@ func (l *lane) retryAfterSeconds() int {
 	if predicted < 1 {
 		return 0
 	}
-	secs := int(math.Ceil(predicted))
-	if secs > maxRetryAfter {
-		secs = maxRetryAfter
+	return int(min(math.Ceil(predicted), maxRetryAfter))
+}
+
+// enqueue queues ops on the lane, all or none. A full queue's refusal is a
+// shed carrying this lane's Retry-After hint.
+func (l *lane) enqueue(ops ...*ingest.Op) (*ingest.Batch, error) {
+	batch, err := l.batcher.Enqueue(ops...)
+	if errors.Is(err, ingest.ErrOverloaded) {
+		return nil, shed(l.retryAfterSeconds())
 	}
-	return secs
+	return batch, err
 }
 
 // maxRetryAfter caps the Retry-After hint; beyond this the prediction says
@@ -452,16 +460,4 @@ func (l *lane) park() (*engine.Engine, func(), error) {
 	case <-l.done:
 		return nil, nil, ErrClosed
 	}
-}
-
-// writeIngestError maps ingest admission failures: a full queue is 429 with
-// a drain-rate-derived Retry-After (the client should back off, never
-// block; see retryAfterSeconds), a closed server is 503.
-func (l *lane) writeIngestError(w http.ResponseWriter, err error) {
-	if isOverloaded(err) {
-		w.Header().Set("Retry-After", strconv.Itoa(l.retryAfterSeconds()))
-		writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	}
-	writeError(w, http.StatusServiceUnavailable, "%v", err)
 }

@@ -1,6 +1,6 @@
 package server
 
-// A lane one turn at a time: no goroutine, no sleep, a fake NowFunc for the
+// A lane one turn at a time: no goroutine, no sleep, a fake nowFunc for the
 // engine's clock and fabricated instants for the throttle's.
 
 import (
@@ -41,7 +41,7 @@ func drainTurn(t *testing.T, l *lane, now time.Time, ops ...*ingest.Op) {
 	if _, err := l.batcher.Enqueue(ops...); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.batcher.Collect(<-l.batcher.C(), nil); len(got) != len(ops) {
+	if got := l.batcher.Collect(nil); len(got) != len(ops) {
 		t.Fatalf("collected %d of %d ops", len(got), len(ops))
 	}
 	l.drain(now, ops)

@@ -6,8 +6,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -82,28 +83,34 @@ func (h *latencyHist) write(w *metricsWriter, name, help string) {
 // httpStats counts served requests by route pattern and status code.
 type httpStats struct {
 	mu     sync.Mutex
-	counts map[string]int64 // key: pattern + "\x00" + code
+	counts map[routeCode]int64
 }
 
-func newHTTPStats() *httpStats { return &httpStats{counts: map[string]int64{}} }
+type routeCode struct {
+	route string
+	code  int
+}
+
+func newHTTPStats() *httpStats { return &httpStats{counts: map[routeCode]int64{}} }
 
 func (s *httpStats) Inc(pattern string, code int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.counts[pattern+"\x00"+strconv.Itoa(code)]++
+	s.counts[routeCode{pattern, code}]++
 }
 
 func (s *httpStats) write(w *metricsWriter, name string) {
 	s.mu.Lock()
-	keys := make([]string, 0, len(s.counts))
+	keys := make([]routeCode, 0, len(s.counts))
 	for k := range s.counts {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, func(a, b routeCode) int {
+		return cmp.Or(strings.Compare(a.route, b.route), a.code-b.code)
+	})
 	w.header(name, "counter", "HTTP requests served, by route and status code.")
 	for _, k := range keys {
-		pattern, code, _ := strings.Cut(k, "\x00")
-		fmt.Fprintf(w.b, "%s{route=%q,code=%q} %d\n", name, pattern, code, s.counts[k])
+		fmt.Fprintf(w.b, "%s{route=%q,code=\"%d\"} %d\n", name, k.route, k.code, s.counts[k])
 	}
 	s.mu.Unlock()
 }

@@ -44,7 +44,7 @@ func TestReadOnlyClosuresDoNotPublish(t *testing.T) {
 	for _, virtual := range []bool{false, true} {
 		t.Run(fmt.Sprintf("virtual=%v", virtual), func(t *testing.T) {
 			clock := &fakeClock{}
-			s, hs := newTestServer(t, Config{VirtualClock: virtual, NowFunc: clock.Now})
+			s, hs := newTestServer(t, Config{VirtualClock: virtual, nowFunc: clock.Now})
 			postJob(t, hs.URL, `{"id":1,"size":4,"runtime":1}`)
 			if !virtual {
 				clock.Set(5)
@@ -93,7 +93,7 @@ func TestReadOnlyClosuresDoNotPublish(t *testing.T) {
 // member) publish nothing either.
 func TestParkPublishesWhatItCharged(t *testing.T) {
 	clock := &fakeClock{}
-	_, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, NowFunc: clock.Now})
+	_, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, nowFunc: clock.Now})
 	before := laneSeqs(t, hs.URL)
 	postJob(t, hs.URL, `{"id":500000,"size":40,"runtime":1000}`)
 	pollJob(t, hs.URL, 500000, "running")
@@ -126,7 +126,7 @@ func TestPublishThrottle(t *testing.T) {
 }
 
 func testPublishThrottle(t *testing.T, virtual bool) {
-	s, hs := newTestServer(t, Config{VirtualClock: virtual, NowFunc: func() float64 { return 0 }, IngestQueue: 8192})
+	s, hs := newTestServer(t, Config{VirtualClock: virtual, nowFunc: func() float64 { return 0 }, ingestQueue: 8192})
 	l := s.lanes[0]
 	const held = 1 // node 15, failed for the whole test
 	postFailure(t, hs.URL+"/v1/fail", `{"kind":"node","node":15}`)

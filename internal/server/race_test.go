@@ -169,7 +169,7 @@ func TestConcurrentBatchFailRecoverSnapshotInvariants(t *testing.T) {
 	}{
 		{name: "virtual", cfg: Config{VirtualClock: true},
 			rounds: 30, batch: 3, runtime: [2]float64{0.5, 3.5}},
-		{name: "elastic", cfg: Config{Elastic: true, OnFailure: engine.FailShrink, IngestQueue: 32},
+		{name: "elastic", cfg: Config{Elastic: true, OnFailure: engine.FailShrink, ingestQueue: 32},
 			rounds: 24, batch: 16, runtime: [2]float64{0.0005, 0.002}, elastic: 0.3, pause: 20 * time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,7 +177,7 @@ func TestConcurrentBatchFailRecoverSnapshotInvariants(t *testing.T) {
 			s, hs := newTestServer(t, tc.cfg)
 			nodes := tc.cfg.Alloc.Tree().Nodes()
 			// Only a bounded ingest queue may shed a write.
-			shed := tc.cfg.IngestQueue > 0
+			shed := tc.cfg.ingestQueue > 0
 
 			var accepted, sheds atomic.Int64
 			// answered checks one write's status: one of want, or 429 with a

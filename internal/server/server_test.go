@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -189,7 +190,7 @@ func TestCancelOverHTTP(t *testing.T) {
 	// virtual clock would fast-forward it to completion between requests).
 	_, hs := newTestServer(t, Config{
 		Alloc:   baseline.NewAllocator(topology.MustNew(4)),
-		NowFunc: func() float64 { return 0 },
+		nowFunc: func() float64 { return 0 },
 	})
 	_, j1 := postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
 	_, j2 := postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
@@ -228,7 +229,7 @@ func TestQueueEndpointFIFOOrder(t *testing.T) {
 	// two followers stay queued and observable.
 	_, hs := newTestServer(t, Config{
 		Alloc:   baseline.NewAllocator(topology.MustNew(4)),
-		NowFunc: func() float64 { return 0 },
+		nowFunc: func() float64 { return 0 },
 	})
 	postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
 	postJob(t, hs.URL, `{"size":16,"runtime":1000}`)
@@ -428,6 +429,31 @@ func TestServeDropsStalledHeaderKeepsIdleKeepAlive(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("response %d: status %d", i, resp.StatusCode)
+		}
+	}
+}
+
+// nopWriter is a ResponseWriter that allocates nothing.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header       { return w.h }
+func (nopWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (nopWriter) WriteHeader(int)             {}
+
+// TestInstrumentAllocatesOnlyItsStatusWriter: with a nil Logger, and with
+// jigsawd's default Warn level, the bookkeeping around a handler allocates
+// one thing per request, its statusWriter.
+func TestInstrumentAllocatesOnlyItsStatusWriter(t *testing.T) {
+	for name, logger := range map[string]*slog.Logger{
+		"nil":  nil,
+		"warn": slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	} {
+		s, _ := newTestServer(t, Config{Logger: logger})
+		h := s.instrument("POST /v1/jobs", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusAccepted) })
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", nil)
+		w := nopWriter{h: http.Header{}}
+		if n := testing.AllocsPerRun(100, func() { h(w, r) }); n != 1 {
+			t.Errorf("%s logger: %v allocations per request, want 1", name, n)
 		}
 	}
 }

@@ -80,7 +80,7 @@ func TestTerminalIDContract(t *testing.T) {
 				Shards:    shards,
 				Elastic:   true,
 				OnFailure: engine.FailKill,
-				NowFunc:   func() float64 { mu.Lock(); defer mu.Unlock(); return now },
+				nowFunc:   func() float64 { mu.Lock(); defer mu.Unlock(); return now },
 			})
 			whole := wall.maxCell // fills lane 0's cell
 			submit := func(id int64, size int, runtime float64, extra string) string {
