@@ -82,6 +82,7 @@ func (e *Engine) commitResize(it *jobItem, pl *topology.Placement, newSize int, 
 	it.state = StateRunning
 	it.end = rj.end
 	it.rj = rj
+	e.touch(it)
 	e.events.Push(sim.Event{Time: rj.end, Prio: sim.PrioCompletion, Payload: rj})
 	e.releaseEpoch++
 	e.cancelEpoch++

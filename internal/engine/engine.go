@@ -283,8 +283,9 @@ type JobStatus struct {
 	Verdict Verdict
 }
 
-// Snapshot is a consistent view of the engine for observers.
-type Snapshot struct {
+// Summary is the engine's observable state that fits in a fixed number of
+// words: clock, occupancy, counts and the failed-resource gauges.
+type Summary struct {
 	Now           float64
 	TotalNodes    int
 	UsedNodes     int
@@ -292,16 +293,22 @@ type Snapshot struct {
 	QueueDepth    int
 	RunningJobs   int
 	PendingEvents int
-	// Queue lists waiting jobs in FIFO order; Running lists started jobs
-	// ordered by start time then ID.
-	Queue   []JobStatus
-	Running []JobStatus
-	Counts  Counts
+	Counts        Counts
 	// FailedNodes/FailedLinks/FailedSwitches count the currently-failed
 	// resources; all zero on a healthy fabric.
 	FailedNodes    int
 	FailedLinks    int
 	FailedSwitches int
+}
+
+// Snapshot is a consistent view of the engine for observers: the Summary
+// plus copies of the job lists.
+type Snapshot struct {
+	Summary
+	// Queue lists waiting jobs in FIFO order; Running lists started jobs
+	// ordered by start time then ID.
+	Queue   []JobStatus
+	Running []JobStatus
 }
 
 // jobItem is a submitted job with its effective runtime and lifecycle state.
@@ -314,6 +321,13 @@ type jobItem struct {
 	rj    *runningJob
 	// verdict is the submit-time deadline admission verdict (elastic only).
 	verdict Verdict
+	// seq is the job's FIFO key while it is in the queue (0 otherwise), and
+	// shown the key the previous Changes reported; touched marks the job
+	// as already on the touched list. placed marks a job StartPlaced
+	// started: a slice of a job other engines may run too.
+	seq, shown uint64
+	touched    bool
+	placed     bool
 }
 
 func (it *jobItem) status() JobStatus {
@@ -450,6 +464,14 @@ type Engine struct {
 	acc         Accounting
 	counts      Counts
 	haveArrival bool
+
+	// lastSeq is the FIFO key the queue handed out last; keys increase in
+	// queue order. track turns on touch, which lists in touched every job
+	// whose status, or place in the queue or running set, changed since the
+	// previous Changes.
+	lastSeq uint64
+	track   bool
+	touched []*jobItem
 }
 
 // New validates the config and returns a fresh engine at virtual time zero.
@@ -577,6 +599,7 @@ func (e *Engine) Status(id int64) (JobStatus, bool) {
 // reference to the jobItem. (A cancelled job's pending arrival event may
 // still hold the item; Step skips it by its state.)
 func (e *Engine) retire(it *jobItem) {
+	e.touch(it)
 	it.rj = nil
 	delete(e.jobs, it.j.ID)
 	e.done[it.j.ID] = it.status()
@@ -799,7 +822,7 @@ func (e *Engine) Step() (float64, bool) {
 			if p.state == StateCancelled {
 				continue
 			}
-			e.queue = append(e.queue, p)
+			e.enqueue(p)
 		}
 	}
 	e.now = now
@@ -824,17 +847,7 @@ func (e *Engine) AdvanceTo(t float64) int {
 
 // Snapshot returns a consistent copy of the engine's observable state.
 func (e *Engine) Snapshot() Snapshot {
-	s := Snapshot{
-		Now:           e.now,
-		TotalNodes:    e.total,
-		UsedNodes:     e.used,
-		FreeNodes:     e.cfg.Alloc.FreeNodes(),
-		QueueDepth:    len(e.queue),
-		RunningJobs:   len(e.running),
-		PendingEvents: e.events.Len(),
-		Counts:        e.counts,
-	}
-	s.FailedNodes, s.FailedLinks, s.FailedSwitches = e.FailedResources()
+	s := Snapshot{Summary: e.Summary()}
 	s.Queue = make([]JobStatus, 0, len(e.queue))
 	for _, it := range e.queue {
 		s.Queue = append(s.Queue, it.status())
@@ -850,6 +863,81 @@ func (e *Engine) Snapshot() Snapshot {
 		return s.Running[i].Job.ID < s.Running[j].Job.ID
 	})
 	return s
+}
+
+// Summary returns the engine's fixed-size observable state.
+func (e *Engine) Summary() Summary {
+	s := Summary{
+		Now:           e.now,
+		TotalNodes:    e.total,
+		UsedNodes:     e.used,
+		FreeNodes:     e.cfg.Alloc.FreeNodes(),
+		QueueDepth:    len(e.queue),
+		RunningJobs:   len(e.running),
+		PendingEvents: e.events.Len(),
+		Counts:        e.counts,
+	}
+	s.FailedNodes, s.FailedLinks, s.FailedSwitches = e.FailedResources()
+	return s
+}
+
+// Change is one job whose status, or place in the queue or running set, an
+// engine call changed since the previous Changes.
+type Change struct {
+	Status JobStatus
+	// Queued is the job's FIFO key while it waits in the queue, 0 when it
+	// does not; Shown is the key the previous Changes reported for it. Keys
+	// increase in queue order, so they sort the queue.
+	Queued, Shown uint64
+	// Placed marks a job started by StartPlaced, whose ID other engines
+	// may also run.
+	Placed bool
+}
+
+// TrackChanges turns on change tracking for Changes. Every job already
+// queued or running counts as changed. The snapshot publisher turns it on;
+// an engine nobody observes this way (the batch simulator) never pays for
+// it.
+func (e *Engine) TrackChanges() {
+	e.track = true
+	for _, it := range e.queue {
+		e.touch(it)
+	}
+	for rj := range e.running {
+		e.touch(rj.it)
+	}
+}
+
+// Changes calls fn once for every job changed since the previous call (or
+// since TrackChanges), and starts a new round. A job that left the queue and
+// the running set since is reported with Queued 0 and a state other than
+// running.
+func (e *Engine) Changes(fn func(Change)) {
+	for i, it := range e.touched {
+		fn(Change{Status: it.status(), Queued: it.seq, Shown: it.shown, Placed: it.placed})
+		it.shown, it.touched = it.seq, false
+		e.touched[i] = nil
+	}
+	e.touched = e.touched[:0]
+}
+
+// touch records that a job's status, or its place in the queue or running
+// set, changes. Every such change goes through here: enqueue, start,
+// commitResize and retire, which between them cover arrival, requeue,
+// backfill, preemption, shrink, grow and every terminal state.
+func (e *Engine) touch(it *jobItem) {
+	if e.track && !it.touched {
+		it.touched = true
+		e.touched = append(e.touched, it)
+	}
+}
+
+// enqueue appends a job to the queue under the next FIFO key.
+func (e *Engine) enqueue(it *jobItem) {
+	e.lastSeq++
+	it.seq = e.lastSeq
+	e.queue = append(e.queue, it)
+	e.touch(it)
 }
 
 // effRuntime applies the scenario to a job's runtime.
@@ -905,7 +993,7 @@ func (e *Engine) workEnded(now float64) {
 func (e *Engine) requeue(it *jobItem) {
 	it.state = StateQueued
 	it.start, it.end = 0, 0
-	e.queue = append(e.queue, it)
+	e.enqueue(it)
 }
 
 // start launches a job whose placement has already been charged.
@@ -918,6 +1006,7 @@ func (e *Engine) start(it *jobItem, pl *topology.Placement, now float64) *runnin
 	it.start = rj.start
 	it.end = rj.end
 	it.rj = rj
+	e.touch(it)
 	e.counts.Started++
 	e.events.Push(sim.Event{Time: rj.end, Prio: sim.PrioCompletion, Payload: rj})
 	return rj
@@ -1047,10 +1136,12 @@ func (e *Engine) place(it *jobItem, size int, verify, long bool) (*topology.Plac
 // not pin the removed job (and its eventual placement) until enough later
 // removals overwrite it.
 func (e *Engine) removeQueued(i int) {
+	e.queue[i].seq = 0
 	last := len(e.queue) - 1
 	if i < last-i {
 		copy(e.queue[1:], e.queue[:i])
-		e.popHead()
+		e.queue[0] = nil
+		e.queue = e.queue[1:]
 		return
 	}
 	copy(e.queue[i:], e.queue[i+1:])
@@ -1061,6 +1152,7 @@ func (e *Engine) removeQueued(i int) {
 // popHead drops queue[0] by reslicing (the FIFO fast path keeps the backing
 // array), nilling the vacated slot for the same reason as removeQueued.
 func (e *Engine) popHead() {
+	e.queue[0].seq = 0
 	e.queue[0] = nil
 	e.queue = e.queue[1:]
 }

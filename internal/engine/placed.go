@@ -39,7 +39,7 @@ func (e *Engine) StartPlaced(j trace.Job, eff float64, pl *topology.Placement) (
 		j.Arrival = e.now
 	}
 	e.cfg.Alloc.Mirror(pl)
-	it := &jobItem{j: j, eff: eff, state: StateQueued}
+	it := &jobItem{j: j, eff: eff, state: StateQueued, placed: true}
 	e.jobs[j.ID] = it
 	if !e.haveArrival || j.Arrival < e.acc.FirstArrival {
 		e.acc.FirstArrival = j.Arrival

@@ -241,7 +241,7 @@ func (c *coordinator) status(id int64) (engine.JobStatus, error) {
 	cj, ok := c.jobs[id]
 	if !ok {
 		c.mu.Unlock()
-		return engine.JobStatus{}, fmt.Errorf("unknown cross-shard job %d", id)
+		return engine.JobStatus{}, errUnknownJob(id)
 	}
 	st, state, members := cj.queued(), cj.state, cj.members
 	c.mu.Unlock()

@@ -470,8 +470,9 @@ func TestCrossRefusesUnownedPod(t *testing.T) {
 
 // TestCrossAfterClose pins the coordinator's answers around shutdown: close
 // is idempotent, a wide submit after it is refused and its ID answers
-// "unknown", jobs still waiting stay queued, and a running wide job whose
-// member lane is gone answers 503 rather than a partial status.
+// "unknown" (404) to GET and DELETE, jobs still waiting stay queued, and a
+// running wide job whose member lane is gone answers 503 rather than a
+// partial status.
 func TestCrossAfterClose(t *testing.T) {
 	s, hs := newTestServer(t, Config{Alloc: core.NewAllocator(topology.MustNew(8)), Shards: 4, ApplySpeedups: true})
 	base := hs.URL
@@ -495,8 +496,9 @@ func TestCrossAfterClose(t *testing.T) {
 	if resp, _ := postJob(t, base, `{"id":500003,"size":40,"runtime":1}`); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("HTTP wide submit after close: %d", resp.StatusCode)
 	}
-	// The gateway routed 500003 to the coordinator, which never took it.
-	if code := getJSON(t, base+"/v1/jobs/500003", nil); code != http.StatusServiceUnavailable {
+	// The gateway routed 500003 to the coordinator, which never took it:
+	// unknown to GET as to DELETE.
+	if code := getJSON(t, base+"/v1/jobs/500003", nil); code != http.StatusNotFound {
 		t.Fatalf("GET of a refused wide job: %d", code)
 	}
 	if code := deleteJob(t, base, 500003); code != http.StatusNotFound {

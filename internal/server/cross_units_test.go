@@ -166,16 +166,28 @@ func usesSpine(pl *plan, pod, l2, spine int) bool {
 }
 
 // checkLanes requires every lane to be running again with clean allocation
-// state invariants.
-func checkLanes(t *testing.T, s *Server) {
+// state invariants and, when nothing is unpublished, a View equal to a
+// capture of its engine; probe are IDs the View must not hold unless the
+// capture does.
+func checkLanes(t *testing.T, s *Server, probe ...int64) {
 	t.Helper()
 	for li, l := range s.lanes {
 		var err error
-		if derr := l.do(func(e *engine.Engine) { err = e.Config().Alloc.State().CheckInvariants() }); derr != nil {
+		if derr := l.do(func(e *engine.Engine) {
+			if err = e.Config().Alloc.State().CheckInvariants(); err == nil && l.unpublished == 0 {
+				// Nothing delivered since the last publish: the View must be
+				// a capture of the engine, taken at the View's clock (a wall
+				// lane's turn moves the clock alone without publishing).
+				v := l.pub.Load()
+				c := capture(e)
+				c.snap.Now, c.utilNow = v.Snap.Now, e.UtilizationTo(v.Snap.Now)
+				err = c.check(v, probe)
+			}
+		}); derr != nil {
 			t.Fatalf("lane %d not released: %v", li, derr)
 		}
 		if err != nil {
-			t.Fatalf("lane %d state invariants: %v", li, err)
+			t.Fatalf("lane %d: %v", li, err)
 		}
 	}
 }

@@ -109,13 +109,9 @@ type lane struct {
 	batcher *ingest.Batcher
 	applier *ingest.Applier
 	pub     *snapshot.Publisher
-	// The publish throttle's state (see publish): publishPending means a
-	// deferred publish is owed, unpublished counts the events the clock
-	// delivered since the last publish.
-	lastPublish    time.Time
-	publishPending bool
-	publishCost    time.Duration
-	unpublished    int
+	// unpublished counts the events the clock delivered since the last
+	// publish.
+	unpublished int
 
 	// onFree, set once before the loop starts (a server with a coordinator
 	// points it at the coordinator's wake), is called from the engine
@@ -199,7 +195,7 @@ func (l *lane) loop() {
 		default:
 		}
 		var wake <-chan time.Time
-		if d, ok := l.idle(time.Now); ok {
+		if d, ok := l.idle(); ok {
 			if d <= 0 {
 				continue // more is due: the next turn needs no wait
 			}
@@ -227,25 +223,17 @@ func (l *lane) loop() {
 
 // idle is the turn a lane takes when nothing is queued. The clock advances the
 // engine (virtual: one event; wall: to now), and the events it delivered are
-// published under the throttle once publishEveryStepsVirtual have piled up or
-// nothing more is due. It returns how long the lane may wait for its next
-// turn: 0 while events are due, otherwise until the next event or a deferred
-// publish's flush, whichever is sooner; false when nothing will ever be due.
-// It reads now only to publish or to time a flush, so a virtual replay steps
-// without a clock read per event.
-func (l *lane) idle(now func() time.Time) (time.Duration, bool) {
+// published once publishEveryStepsVirtual have piled up or nothing more is
+// due. It returns how long the lane may wait for its next turn: 0 while
+// events are due, otherwise until the next event; false when nothing will
+// ever be due.
+func (l *lane) idle() (time.Duration, bool) {
 	l.unpublished += l.clock.idle(l.eng)
 	d, pending := l.clock.wait(l.eng)
-	if l.publishPending || l.unpublished >= publishEveryStepsVirtual || l.unpublished > 0 && !(pending && d == 0) {
-		l.publish(now())
+	if l.unpublished >= publishEveryStepsVirtual || l.unpublished > 0 && !(pending && d == 0) {
+		l.publish()
 	}
-	if !l.publishPending {
-		return d, pending
-	}
-	if flush := l.lastPublish.Add(l.publishInterval()).Sub(now()); !pending || flush < d {
-		return flush, true
-	}
-	return d, true
+	return d, pending
 }
 
 // shown is what a published View shows of an engine, as far as the engine's
@@ -269,31 +257,26 @@ func showing(e *engine.Engine) shown {
 }
 
 // runAdmin is a closure turn: deliver what the clock says is due, run the
-// closure and, if it changed what a View shows (or a publish is owed anyway),
-// publish before releasing the caller, so the response's effects are already
-// visible to snapshot readers. A closure that only reads — a finished job's
-// status lookup — publishes nothing: a capture is O(active jobs) on the
-// goroutine every writer waits for.
+// closure and, if it changed what a View shows (or delivered events are
+// unpublished), publish before releasing the caller, so the response's
+// effects are already visible to snapshot readers. A closure that only reads
+// — a finished job's status lookup — publishes nothing.
 func (l *lane) runAdmin(r engineReq) {
 	l.unpublished += l.clock.due(l.eng)
 	before := showing(l.eng)
 	r.fn(l.eng)
-	if l.publishPending || l.unpublished > 0 || showing(l.eng) != before {
-		l.publishNow()
+	if l.unpublished > 0 || showing(l.eng) != before {
+		l.publish()
 	}
 	close(r.ran)
 }
 
-// publishNow captures and publishes unconditionally, records the capture
-// cost for the adaptive throttle, and resets it. When the published
-// snapshot shows freed capacity, it signals onFree after the publish (see
-// the field comment for why the order matters).
-func (l *lane) publishNow() {
-	t0 := time.Now()
+// publish folds the engine's changes into a new View and swaps it in. When
+// the published snapshot shows freed capacity, it signals onFree after the
+// publish (see the field comment for why the order matters).
+func (l *lane) publish() {
 	v := l.pub.Publish(l.eng)
-	l.publishCost = time.Since(t0)
-	l.lastPublish = t0
-	l.publishPending, l.unpublished = false, 0
+	l.unpublished = 0
 	if l.onFree != nil {
 		failed := failedResources(v)
 		if v.Snap.FreeNodes > l.lastFreeNodes || failed < l.lastFailedRes {
@@ -303,45 +286,22 @@ func (l *lane) publishNow() {
 	}
 }
 
-// publishInterval is the current minimum spacing between publishes while the
-// active set is over the cheap threshold: the floor, scaled up with measured
-// capture cost so capture work stays at most ~1/publishCostMultiple of
-// engine time.
-func (l *lane) publishInterval() time.Duration {
-	return min(max(publishCostMultiple*l.publishCost, publishMinInterval), publishMaxInterval)
-}
-
-// publish is the throttle, the one rule for every publish that answers no
-// closure and ends no shutdown, on either clock: publish at once while the
-// active set is small enough that capture is cheap, or once publishInterval
-// has passed since the last publish; otherwise defer. Capture is O(active
-// jobs), and deferring keeps it from dominating ingest under a deep backlog.
-// A deferred publish is flushed by the next drain or idle turn past the
-// interval (idle's deadline includes that instant), never merely because the
-// lane went idle, so reader staleness is bounded by publishInterval.
-func (l *lane) publish(now time.Time) {
-	if l.eng.ActiveJobs() <= publishCheapThreshold || now.Sub(l.lastPublish) >= l.publishInterval() {
-		l.publishNow()
-		return
-	}
-	l.publishPending = true
-}
-
 // applyBatch takes one wake-up's batch and drains it. A wake-up whose ops an
 // earlier Collect already took is no turn: nothing is drained, published or
 // sampled for the drain rate.
 func (l *lane) applyBatch(buf []*ingest.Op) []*ingest.Op {
 	if buf = l.batcher.Collect(buf); len(buf) > 0 {
-		l.drain(time.Now(), buf)
+		l.drain(buf)
 	}
 	return buf
 }
 
 // drain is a batch turn: deliver what the clock says is due, apply the ops,
-// publish the covering snapshot under the throttle, and release the waiting
-// producers. The clock is read after the ops were collected, so on the wall
-// clock no op's arrival is later than the engine's time.
-func (l *lane) drain(now time.Time, ops []*ingest.Op) {
+// publish the covering snapshot, and release the waiting producers, so every
+// producer's write is visible to readers before it is answered. The clock is
+// read after the ops were collected, so on the wall clock no op's arrival is
+// later than the engine's time.
+func (l *lane) drain(ops []*ingest.Op) {
 	l.unpublished += l.clock.due(l.eng)
 	for _, op := range ops {
 		tRun := time.Now()
@@ -350,7 +310,7 @@ func (l *lane) drain(now time.Time, ops []*ingest.Op) {
 		l.latency.Observe(time.Since(tRun).Seconds())
 	}
 	l.observeDrain(len(ops))
-	l.publish(now)
+	l.publish()
 	for _, op := range ops {
 		op.Finish()
 	}
@@ -418,10 +378,10 @@ const maxRetryAfter = 60
 func (l *lane) shutdownDrain(buf []*ingest.Op) {
 	l.batcher.CloseEnqueue()
 	if rest := l.batcher.DrainRemaining(buf); len(rest) > 0 {
-		l.drain(time.Now(), rest)
+		l.drain(rest)
 	}
-	if l.publishPending || l.unpublished > 0 {
-		l.publishNow()
+	if l.unpublished > 0 {
+		l.publish()
 	}
 }
 

@@ -1,7 +1,7 @@
 package server
 
-// A lane one turn at a time: no goroutine, no sleep, a fake nowFunc for the
-// engine's clock and fabricated instants for the throttle's.
+// A lane one turn at a time: no goroutine, no sleep, and a fake nowFunc for
+// the engine's clock.
 
 import (
 	"fmt"
@@ -31,12 +31,8 @@ func submitOp(id int64, size int, runtime float64) *ingest.Op {
 	return &ingest.Op{Kind: ingest.Submit, Job: trace.Job{ID: id, Size: size, Runtime: runtime}, EnqueuedAt: time.Now()}
 }
 
-// at is a clock that always reads t.
-func at(t time.Time) func() time.Time { return func() time.Time { return t } }
-
-// drainTurn enqueues ops and takes the one drain turn that applies them at
-// now.
-func drainTurn(t *testing.T, l *lane, now time.Time, ops ...*ingest.Op) {
+// drainTurn enqueues ops and takes the one drain turn that applies them.
+func drainTurn(t *testing.T, l *lane, ops ...*ingest.Op) {
 	t.Helper()
 	if _, err := l.batcher.Enqueue(ops...); err != nil {
 		t.Fatal(err)
@@ -44,7 +40,7 @@ func drainTurn(t *testing.T, l *lane, now time.Time, ops ...*ingest.Op) {
 	if got := l.batcher.Collect(nil); len(got) != len(ops) {
 		t.Fatalf("collected %d of %d ops", len(got), len(ops))
 	}
-	l.drain(now, ops)
+	l.drain(ops)
 }
 
 // published checks that the lane's View shows every op's job as the op
@@ -59,7 +55,7 @@ func published(t *testing.T, l *lane, seq uint64, ops ...*ingest.Op) {
 		if op.Err != nil || !op.Known {
 			t.Fatalf("job %d: known %v, err %v", op.Job.ID, op.Known, op.Err)
 		}
-		if got, ok := v.Jobs[op.Job.ID]; !ok || got.State != op.Status.State {
+		if got, ok := v.Job(op.Job.ID); !ok || got.State != op.Status.State {
 			t.Fatalf("job %d answered %v but the View shows %v (present %v)", op.Job.ID, op.Status.State, got.State, ok)
 		}
 	}
@@ -67,22 +63,20 @@ func published(t *testing.T, l *lane, seq uint64, ops ...*ingest.Op) {
 
 // TestLaneTurns pins a lane's contract turn by turn on both clocks: (a) a
 // wall-clock drain applies its batch after the completions due by now, (b)
-// below the threshold every op's effect is published before its producer is
-// released, (c) an idle turn waits until the engine's next event on the wall
-// clock and not at all on the virtual one while events are pending, (d)
-// above the threshold a drain inside the interval defers and the idle turn
-// wakes exactly at the flush instant, and (e) the shutdown turn applies
-// every queued op and publishes.
+// every op's effect is published before its producer is released, (c) an
+// idle turn waits until the engine's next event on the wall clock and not at
+// all on the virtual one while events are pending, (d) above 4 096 active
+// jobs every drain still publishes and an idle turn that delivered nothing
+// publishes nothing, and (e) the shutdown turn applies every queued op and
+// publishes.
 func TestLaneTurns(t *testing.T) {
 	for _, virtual := range []bool{false, true} {
 		t.Run(fmt.Sprintf("virtual=%v", virtual), func(t *testing.T) {
 			clock := &fakeClock{}
 			l := turnLane(t, virtual, clock.Now)
-			now := time.Now()
-
 			// (b) Two whole-machine jobs: one runs until t=1, one waits.
 			first := []*ingest.Op{submitOp(1, 16, 1), submitOp(2, 16, 1)}
-			drainTurn(t, l, now, first...)
+			drainTurn(t, l, first...)
 			published(t, l, 1, first...)
 			if first[0].Status.State != engine.StateRunning || first[1].Status.State != engine.StateQueued {
 				t.Fatalf("states %v, %v; want running, queued", first[0].Status.State, first[1].Status.State)
@@ -90,27 +84,33 @@ func TestLaneTurns(t *testing.T) {
 
 			if virtual {
 				// (c) Stepping job 1's completion starts job 2: more is due.
-				if d, ok := l.idle(at(now)); !ok || d != 0 {
+				if d, ok := l.idle(); !ok || d != 0 {
 					t.Fatalf("idle with events pending waits %v (%v), want 0", d, ok)
 				}
 				published(t, l, 1) // one step is not yet worth a publish
 				// Stepping job 2's completion leaves nothing: publish, sleep.
-				if d, ok := l.idle(at(now)); ok {
+				if d, ok := l.idle(); ok {
 					t.Fatalf("idle with no event pending waits %v, want forever", d)
 				}
-				if v := l.pub.Load(); v.Seq != 2 || v.Snap.Now != 2 || len(v.Jobs) != 0 {
-					t.Fatalf("going idle published seq %d at t=%g with %d jobs; want seq 2, t=2, none", v.Seq, v.Snap.Now, len(v.Jobs))
+				v := l.pub.Load()
+				if active := v.Snap.QueueDepth + v.Snap.RunningJobs; v.Seq != 2 || v.Snap.Now != 2 || active != 0 {
+					t.Fatalf("going idle published seq %d at t=%g with %d jobs; want seq 2, t=2, none", v.Seq, v.Snap.Now, active)
+				}
+				for _, op := range first {
+					if st, ok := v.Job(op.Job.ID); ok {
+						t.Fatalf("finished job %d still in the View: %+v", op.Job.ID, st)
+					}
 				}
 			} else {
 				// (c) The next event is job 1's completion, one second away.
-				if d, ok := l.idle(at(now)); !ok || d != time.Second {
+				if d, ok := l.idle(); !ok || d != time.Second {
 					t.Fatalf("idle waits %v (%v), want 1s (the next event)", d, ok)
 				}
 				published(t, l, 1, first...) // nothing was due: nothing published
 				// (a) At t=5 both jobs ended (at 1 and 2) before job 3 applies.
 				clock.Set(5)
 				third := submitOp(3, 16, 1)
-				drainTurn(t, l, now, third)
+				drainTurn(t, l, third)
 				published(t, l, 2, third)
 				if st := third.Status; st.State != engine.StateRunning || st.Start != 5 {
 					t.Fatalf("job 3 %v at %g; want running from 5", st.State, st.Start)
@@ -118,42 +118,35 @@ func TestLaneTurns(t *testing.T) {
 				if c := l.pub.Load().Snap.Counts; c.Completed != 2 {
 					t.Fatalf("completed %d before job 3, want 2", c.Completed)
 				}
-				if d, ok := l.idle(at(now)); !ok || d != time.Second {
+				if d, ok := l.idle(); !ok || d != time.Second {
 					t.Fatalf("idle waits %v (%v), want 1s (job 3 ends at 6)", d, ok)
 				}
 			}
 
 			// (d) A fresh lane with node 15 failed: no whole-machine job can
-			// start, so nothing is ever due and only the throttle decides.
+			// start, so nothing is ever due, and every job stays active.
 			l = turnLane(t, virtual, clock.Now)
 			if _, err := l.eng.Fail(topology.NodeFailure(15)); err != nil {
 				t.Fatal(err)
 			}
-			backlog := make([]*ingest.Op, publishCheapThreshold+100)
+			backlog := make([]*ingest.Op, 4096+100)
 			for i := range backlog {
 				backlog[i] = submitOp(int64(100+i), 16, 1)
 			}
-			drainTurn(t, l, now, backlog...) // the first publish is never deferred
-			if l.eng.ActiveJobs() <= publishCheapThreshold || l.pub.Load().Seq != 1 || l.publishPending {
-				t.Fatalf("backlog: %d active, seq %d, pending %v", l.eng.ActiveJobs(), l.pub.Load().Seq, l.publishPending)
+			drainTurn(t, l, backlog...)
+			if l.eng.ActiveJobs() != len(backlog) {
+				t.Fatalf("backlog: %d active, want %d", l.eng.ActiveJobs(), len(backlog))
 			}
-			inside := l.lastPublish.Add(time.Millisecond)
-			deferred := submitOp(1, 16, 1)
-			drainTurn(t, l, inside, deferred)
-			if _, ok := l.pub.Load().Jobs[1]; ok || !l.publishPending || deferred.Status.State != engine.StateQueued {
-				t.Fatal("a drain inside the interval published")
+			published(t, l, 1, backlog...)
+			for seq, id := uint64(2), int64(1); id <= 2; seq, id = seq+1, id+1 {
+				op := submitOp(id, 16, 1)
+				drainTurn(t, l, op)
+				published(t, l, seq, op)
 			}
-			flush := l.lastPublish.Add(l.publishInterval())
-			if d, ok := l.idle(at(inside)); !ok || !inside.Add(d).Equal(flush) {
-				t.Fatalf("idle wakes %v after the last publish, want the interval %v", inside.Add(d).Sub(l.lastPublish), l.publishInterval())
+			if d, ok := l.idle(); ok {
+				t.Fatalf("idle with nothing pending waits %v, want forever", d)
 			}
-			if _, ok := l.idle(at(flush)); ok || l.publishPending {
-				t.Fatalf("idle at the flush instant: wait %v, pending %v", ok, l.publishPending)
-			}
-			published(t, l, 2, deferred)
-			past := submitOp(2, 16, 1)
-			drainTurn(t, l, l.lastPublish.Add(l.publishInterval()), past)
-			published(t, l, 3, past) // a drain past the interval publishes
+			published(t, l, 3) // nothing was delivered: nothing published
 
 			// (e) Quit: queued ops are applied and published before the lane stops.
 			last := []*ingest.Op{submitOp(3, 16, 1), submitOp(4, 4, 1)}
@@ -161,7 +154,7 @@ func TestLaneTurns(t *testing.T) {
 				t.Fatal(err)
 			}
 			l.shutdownDrain(nil)
-			if l.publishPending || l.unpublished != 0 {
+			if l.unpublished != 0 {
 				t.Fatal("shutdown left a publish owed")
 			}
 			published(t, l, l.pub.Load().Seq, last...)
@@ -177,8 +170,8 @@ func TestLaneTurns(t *testing.T) {
 func TestWallWaitSaturates(t *testing.T) {
 	for _, runtime := range []float64{1e10, 1e300} {
 		l := turnLane(t, false, func() float64 { return 0 })
-		drainTurn(t, l, time.Now(), submitOp(1, 4, runtime))
-		if d, ok := l.idle(time.Now); !ok || d <= 0 || d > maxWait {
+		drainTurn(t, l, submitOp(1, 4, runtime))
+		if d, ok := l.idle(); !ok || d <= 0 || d > maxWait {
 			t.Fatalf("runtime %g: idle waits %v (%v), want (0, %v]", runtime, d, ok, maxWait)
 		}
 	}

@@ -1,8 +1,8 @@
 package server
 
 // When a lane publishes: never for a closure that only read, always before a
-// closure that changed something answers, and on a bounded cadence once the
-// active set makes a capture expensive (the publish throttle, lane.go).
+// closure that changed something answers, and after every drain whatever
+// the number of active jobs.
 
 import (
 	"fmt"
@@ -111,41 +111,28 @@ func TestParkPublishesWhatItCharged(t *testing.T) {
 	}
 }
 
-// TestPublishThrottle holds more than publishCheapThreshold jobs active on
-// either clock: node 15 stays failed, so no whole-machine job can start and
-// no event is ever due. Drains then outnumber publishes, a deferred write
-// becomes visible with no further traffic (the idle turn's deadline, not the
-// lane going idle), fail and recover still publish before they answer, and
-// Close publishes a write that is still deferred.
-func TestPublishThrottle(t *testing.T) {
+// TestReadYourWritesAtDepth holds more than 4 096 jobs active on either
+// clock: node 15 stays failed, so no whole-machine job can start and no event
+// is ever due. Every write is visible in the lane's View when its producer
+// is released, fail and recover publish before they answer, and a write
+// accepted before Close is in the final snapshot.
+func TestReadYourWritesAtDepth(t *testing.T) {
 	for _, virtual := range []bool{false, true} {
 		t.Run(fmt.Sprintf("virtual=%v", virtual), func(t *testing.T) {
-			testPublishThrottle(t, virtual)
+			testReadYourWritesAtDepth(t, virtual)
 		})
 	}
 }
 
-func testPublishThrottle(t *testing.T, virtual bool) {
+func testReadYourWritesAtDepth(t *testing.T, virtual bool) {
 	s, hs := newTestServer(t, Config{VirtualClock: virtual, nowFunc: func() float64 { return 0 }, ingestQueue: 8192})
 	l := s.lanes[0]
 	const held = 1 // node 15, failed for the whole test
 	postFailure(t, hs.URL+"/v1/fail", `{"kind":"node","node":15}`)
-	submit := func(id int64) {
-		t.Helper()
-		op := &ingest.Op{Kind: ingest.Submit, Job: trace.Job{ID: id, Size: 16, Runtime: 1e6}, EnqueuedAt: time.Now()}
-		batch, err := l.batcher.Enqueue(op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch.Wait()
-		if op.Err != nil {
-			t.Fatal(op.Err)
-		}
-	}
-	// Every job is held in the queue, so every job stays active.
+	const backlog = 4096 + 100
 	var body strings.Builder
 	body.WriteString(`{"jobs":[`)
-	for id := 1; id <= publishCheapThreshold+100; id++ {
+	for id := 1; id <= backlog; id++ {
 		if id > 1 {
 			body.WriteByte(',')
 		}
@@ -155,67 +142,53 @@ func testPublishThrottle(t *testing.T, virtual bool) {
 	if code, res := postBatch(t, hs.URL, body.String()); code != http.StatusAccepted || res.Failed != 0 {
 		t.Fatalf("backlog batch: %d, %d failed", code, res.Failed)
 	}
-	next := int64(publishCheapThreshold + 101)
+	next := int64(backlog + 1)
 
-	// burst drains n one-op batches back to back and reports how many
-	// publishes they caused and whether the last write is still deferred.
-	burst := func(n int) (publishes uint64, last int64, deferred bool) {
-		seq := l.pub.Load().Seq
+	// burst submits n jobs one drain at a time; each must be in the View,
+	// queued behind the backlog, when its producer is released.
+	burst := func(n int) (last int64) {
+		t.Helper()
 		for i := 0; i < n; i++ {
-			submit(next)
+			op := &ingest.Op{Kind: ingest.Submit, Job: trace.Job{ID: next, Size: 16, Runtime: 1e6}, EnqueuedAt: time.Now()}
+			batch, err := l.batcher.Enqueue(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch.Wait()
+			if op.Err != nil {
+				t.Fatal(op.Err)
+			}
+			v := l.pub.Load()
+			if st, ok := v.Job(next); !ok || st.State != engine.StateQueued {
+				t.Fatalf("job %d answered before it was published: %+v, %v", next, st, ok)
+			}
+			if active := v.Snap.QueueDepth + v.Snap.RunningJobs; active != int(next) {
+				t.Fatalf("View after job %d holds %d active jobs, want %d", next, active, next)
+			}
+			last = next
 			next++
 		}
-		v := l.pub.Load()
-		_, visible := v.Jobs[next-1]
-		return v.Seq - seq, next - 1, !visible
+		return last
 	}
-	var last int64
-	for try := 0; ; try++ {
-		// Throttled, a publish costs at most 1/publishCostMultiple of the time
-		// and comes at most once per publishMinInterval: far fewer than one
-		// per two drains. A lane that flushes on going idle publishes after
-		// nearly every one-op drain.
-		publishes, id, deferred := burst(200)
-		if publishes >= 100 {
-			t.Fatalf("200 drains over %d active jobs caused %d publishes: not throttled", len(l.pub.Load().Jobs), publishes)
-		}
-		if last = id; deferred {
-			break
-		}
-		if try == 10 {
-			t.Fatal("no burst ever ended on a deferred publish")
-		}
-	}
-	// No further traffic: the idle turn's deadline alone must make the write
-	// visible.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, ok := l.pub.Load().Jobs[last]; ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("deferred write of job %d never became visible", last)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	burst(200)
 
-	// Fail and recover publish before they answer, throttle or not.
+	// Fail and recover publish before they answer.
 	node := `{"kind":"node","node":0}`
 	for _, step := range []struct {
 		path   string
 		failed int
 	}{{"/v1/fail", 1}, {"/v1/recover", 0}} {
-		burst(20) // leave the lane inside a throttle interval
+		burst(20)
 		postFailure(t, hs.URL+step.path, node)
 		if got := l.pub.Load().Snap.FailedNodes; got != held+step.failed {
 			t.Fatalf("%s answered with %d failed nodes published, want %d", step.path, got, held+step.failed)
 		}
 	}
 
-	// A write still deferred at Close is published by the shutdown drain.
-	_, last, _ = burst(20)
+	// A write accepted before Close is in the final snapshot.
+	last := burst(20)
 	s.Close()
-	if _, ok := l.pub.Load().Jobs[last]; !ok {
+	if _, ok := l.pub.Load().Job(last); !ok {
 		t.Fatalf("job %d, accepted before Close, is not in the final snapshot", last)
 	}
 }

@@ -333,7 +333,7 @@ func TestConcurrentBatchFailRecoverSnapshotInvariants(t *testing.T) {
 							t.Errorf("%s: status %d", path, resp.StatusCode)
 							return
 						}
-						if err := outOfBounds(s.view()); err != nil {
+						if err := outOfBounds(s.laneViews()); err != nil {
 							t.Errorf("after %s: %v", path, err)
 							return
 						}
@@ -358,7 +358,7 @@ func TestConcurrentBatchFailRecoverSnapshotInvariants(t *testing.T) {
 							return
 						default:
 						}
-						if err := outOfBounds(s.view()); err != nil {
+						if err := outOfBounds(s.laneViews()); err != nil {
 							t.Error(err)
 							return
 						}
@@ -455,10 +455,10 @@ func TestConcurrentBatchFailRecoverSnapshotInvariants(t *testing.T) {
 	}
 }
 
-// outOfBounds reports the first running job in v whose current size lies
-// outside its declared [MinSize, MaxSize], or nil.
-func outOfBounds(v *snapshot.View) error {
-	for _, st := range v.Snap.Running {
+// outOfBounds reports the first running job in views whose current size
+// lies outside its declared [MinSize, MaxSize], or nil.
+func outOfBounds(views []*snapshot.View) error {
+	for _, st := range snapshot.MergeRunning(views) {
 		if j := st.Job; j.Size < j.MinSize() || j.Size > j.MaxSize() {
 			return fmt.Errorf("job %d running at %d nodes, outside [%d, %d]", j.ID, j.Size, j.MinSize(), j.MaxSize())
 		}

@@ -137,21 +137,6 @@ const (
 	// virtual-clock replays: mid-replay, readers are at most this many
 	// events behind.
 	publishEveryStepsVirtual = 64
-	// publishCheapThreshold is the active-job count up to which a snapshot
-	// capture is cheap enough to pay on every drain. Beyond it, capture cost
-	// is O(active jobs) per publish and would dominate ingest throughput, so
-	// publishes are spaced out in time instead.
-	publishCheapThreshold = 4096
-	// publishMinInterval is the floor on publish spacing once the active
-	// set is over the cheap threshold. The effective interval also scales
-	// with the measured capture cost (publishCostMultiple × the previous
-	// capture's duration) so that publish overhead stays a bounded fraction
-	// of engine time no matter how deep the backlog gets, clamped at
-	// publishMaxInterval. A deferred publish is flushed by the next drain or
-	// idle turn past the interval, on either clock (lane.publish).
-	publishMinInterval  = 25 * time.Millisecond
-	publishCostMultiple = 20
-	publishMaxInterval  = time.Second
 	// readHeaderTimeout bounds how long a connection may take to send its
 	// request headers, so a client that stalls mid-header cannot hold a
 	// connection (and its goroutine) forever; idleTimeout closes keep-alive
@@ -323,7 +308,7 @@ func New(cfg Config) (*Server, error) {
 		for _, l := range s.lanes {
 			l.pub.CapturePodSummaries()
 			l.onFree = s.cross.signalWake
-			l.publishNow()
+			l.publish()
 		}
 	}
 	for _, l := range s.lanes {
@@ -354,20 +339,15 @@ func (s *Server) laneViews() []*snapshot.View {
 	return views
 }
 
-// view returns the read-path snapshot: the merged per-lane Views, with the
-// coordinator's waiting jobs merged in as one more shard that has only a
-// queue (so they sort into the cluster-wide queue by Merge's own order).
+// view returns the read-path snapshot: the merged scalars of the per-lane
+// Views, with the coordinator's waiting jobs counted in the queue depth.
 func (s *Server) view() *snapshot.View {
-	views := s.laneViews()
+	v := snapshot.Merge(s.laneViews())
 	if s.cross != nil {
-		if waiting := s.cross.waiting(); len(waiting) > 0 {
-			views = append(views, &snapshot.View{
-				PublishedAt: views[0].PublishedAt, // not older than the oldest lane
-				Snap:        engine.Snapshot{Queue: waiting},
-			})
-		}
+		// More than one lane, so Merge built v: it is not a published View.
+		v.Snap.QueueDepth += s.cross.stats().Waiting
 	}
-	return snapshot.Merge(views)
+	return v
 }
 
 // Handler returns the daemon's HTTP surface with request logging and
@@ -838,18 +818,20 @@ func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if li == crossOwner {
+		// An ID the coordinator never took is unknown (404); any other error
+		// is a member lane that is gone (503).
 		st, err := s.cross.status(id)
 		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			writeFailure(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, toJobJSON(st))
 		return
 	}
 	l := s.lanes[li]
-	// Active jobs are indexed in the published snapshot; terminal and
-	// unknown IDs fall back to a point lookup on the engine goroutine.
-	if st, ok := l.pub.Load().Jobs[id]; ok {
+	// Active jobs are in the published snapshot; terminal and unknown IDs
+	// fall back to a point lookup on the engine goroutine.
+	if st, ok := l.pub.Load().Job(id); ok {
 		writeJSON(w, http.StatusOK, toJobJSON(st))
 		return
 	}
@@ -911,15 +893,18 @@ func snapshotMeta(v *snapshot.View) (uint64, uint64, string) {
 }
 
 func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {
-	v := s.view()
-	jobs := make([]jobJSON, 0, len(v.Snap.Queue))
-	for _, st := range v.Snap.Queue {
-		jobs = append(jobs, toJobJSON(st))
+	views := s.laneViews()
+	var waiting []engine.JobStatus
+	if s.cross != nil {
+		waiting = s.cross.waiting()
 	}
+	v := snapshot.Merge(views)
+	jobs := make([]jobJSON, 0, v.Snap.QueueDepth+len(waiting))
+	snapshot.MergeQueue(views, waiting, func(st engine.JobStatus) { jobs = append(jobs, toJobJSON(st)) })
 	seq, version, published := snapshotMeta(v)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"now":           v.Snap.Now,
-		"depth":         v.Snap.QueueDepth,
+		"depth":         len(jobs),
 		"jobs":          jobs,
 		"snapshot_seq":  seq,
 		"state_version": version,

@@ -14,25 +14,26 @@ import (
 	"repro/internal/engine"
 )
 
-// Merge folds per-shard Views into a cluster-wide View. With one input the
-// View is returned as-is (the single-shard daemon pays nothing). Counters,
-// occupancy, and failure gauges are summed; Now is the furthest shard clock;
-// PublishedAt is the oldest publication (conservative staleness);
-// utilization figures are node-weighted by each shard's TotalNodes.
+// Merge folds per-shard Views into a cluster-wide View of scalars. With one
+// input the View is returned as-is (the single-shard daemon pays nothing).
+// Counters, occupancy, and failure gauges are summed; Now is the furthest
+// shard clock; PublishedAt is the oldest publication (conservative
+// staleness); utilization figures are node-weighted by each shard's
+// TotalNodes.
 //
-// Cross-shard jobs appear once per member shard with per-slice sizes; the
-// merged running list coalesces same-ID entries back into one job (sizes
-// summed, earliest start, latest end), so readers see the whole job.
-// Per-shard Counts still count each slice — a cross-shard job adds one
-// "submitted"/"started" per member shard — which the /v1/shards endpoint
-// exposes raw; DESIGN.md §16 discusses the tradeoff. The merged View has no
-// Jobs index: point reads consult the owning lane's own View.
+// Cross-shard jobs run once per member shard with per-slice sizes, and
+// RunningJobs counts each of them once. Per-shard Counts still count each
+// slice — a cross-shard job adds one "submitted"/"started" per member shard —
+// which the /v1/shards endpoint exposes raw; DESIGN.md §16 discusses the
+// tradeoff. The merged View holds no jobs: MergeQueue and MergeRunning list
+// them, and point reads consult the owning lane's own View.
 func Merge(views []*View) *View {
 	if len(views) == 1 {
 		return views[0]
 	}
 	m := &View{}
 	var utilNowW, utilSteadyW, nodes float64
+	var members map[int64]int // running cross-shard job -> Views showing a slice of it
 	for i, v := range views {
 		m.Seq += v.Seq
 		m.StateVersion += v.StateVersion
@@ -45,6 +46,8 @@ func Merge(views []*View) *View {
 		m.Snap.TotalNodes += v.Snap.TotalNodes
 		m.Snap.UsedNodes += v.Snap.UsedNodes
 		m.Snap.FreeNodes += v.Snap.FreeNodes
+		m.Snap.QueueDepth += v.Snap.QueueDepth
+		m.Snap.RunningJobs += v.Snap.RunningJobs
 		m.Snap.PendingEvents += v.Snap.PendingEvents
 		m.Snap.Counts.Submitted += v.Snap.Counts.Submitted
 		m.Snap.Counts.Started += v.Snap.Counts.Started
@@ -66,24 +69,70 @@ func Merge(views []*View) *View {
 		utilNowW += v.UtilNow * w
 		utilSteadyW += v.UtilSteady * w
 		nodes += w
-		m.Snap.Queue = append(m.Snap.Queue, v.Snap.Queue...)
-		m.Snap.Running = append(m.Snap.Running, v.Snap.Running...)
+		v.placed.walk(func(st engine.JobStatus) {
+			if members == nil {
+				members = map[int64]int{}
+			}
+			if members[st.Job.ID]++; members[st.Job.ID] > 1 {
+				m.Snap.RunningJobs--
+			}
+		})
 	}
 	if nodes > 0 {
 		m.UtilNow = utilNowW / nodes
 		m.UtilSteady = utilSteadyW / nodes
 	}
-	sort.SliceStable(m.Snap.Queue, func(i, j int) bool {
-		a, b := m.Snap.Queue[i], m.Snap.Queue[j]
+	return m
+}
+
+// MergeQueue calls fn for every queued job of views, plus more (the
+// cross-shard coordinator's waiting jobs): one View's in its FIFO order,
+// several sorted by (Arrival, ID), ties in input order. A lane's FIFO order is
+// not (Arrival, ID) order — a requeued job keeps its arrival — so the lists
+// are sorted whole rather than merged.
+func MergeQueue(views []*View, more []engine.JobStatus, fn func(engine.JobStatus)) {
+	if len(views) == 1 && len(more) == 0 {
+		views[0].WalkQueue(fn)
+		return
+	}
+	all := make([]engine.JobStatus, 0, len(more)+queued(views))
+	for _, v := range views {
+		v.WalkQueue(func(st engine.JobStatus) { all = append(all, st) })
+	}
+	all = append(all, more...)
+	sort.SliceStable(all, func(i, j int) bool {
+		a, b := all[i], all[j]
 		if a.Job.Arrival != b.Job.Arrival {
 			return a.Job.Arrival < b.Job.Arrival
 		}
 		return a.Job.ID < b.Job.ID
 	})
-	m.Snap.Running = coalesceRunning(m.Snap.Running)
-	m.Snap.QueueDepth = len(m.Snap.Queue)
-	m.Snap.RunningJobs = len(m.Snap.Running)
-	return m
+	for _, st := range all {
+		fn(st)
+	}
+}
+
+func queued(views []*View) (n int) {
+	for _, v := range views {
+		n += v.queue.n
+	}
+	return n
+}
+
+// MergeRunning lists the running jobs of views sorted by (Start, ID), with
+// the per-shard slices of a cross-shard job coalesced into one entry. It walks
+// every active job of every View: built on demand, never by a publish or a
+// merge.
+func MergeRunning(views []*View) []engine.JobStatus {
+	var run []engine.JobStatus
+	for _, v := range views {
+		v.active.walk(func(st engine.JobStatus) {
+			if st.State == engine.StateRunning {
+				run = append(run, st)
+			}
+		})
+	}
+	return coalesceRunning(run)
 }
 
 // coalesceRunning folds the per-shard slices of cross-shard jobs (same ID on

@@ -38,29 +38,29 @@ func TestMergeSumsCountersAndCoalescesSlices(t *testing.T) {
 		UtilNow: 0.5, UtilSteady: 0.25,
 		FeasHits: 3, FeasMisses: 1, FeasInvalidations: 2,
 	}
-	v1.Snap = engine.Snapshot{
+	v1.Snap = engine.Summary{
 		Now: 10, TotalNodes: 64, UsedNodes: 32, FreeNodes: 32, PendingEvents: 1,
-		Queue:   []engine.JobStatus{queued(9, 4)},
-		Running: []engine.JobStatus{running(7, 4, 2, 10), running(5, 8, 1, 6)},
 		Counts: engine.Counts{
 			Submitted: 10, Started: 8, Completed: 5, Rejected: 1, Cancelled: 1,
 			Requeued: 2, Killed: 1, Shrunk: 3, Grown: 2, Preempted: 1,
 		},
 		FailedNodes: 2, FailedLinks: 1, FailedSwitches: 1,
 	}
+	snapshot.WithJobs(v1, []engine.JobStatus{queued(9, 4)},
+		[]engine.JobStatus{running(7, 4, 2, 10), running(5, 8, 1, 6)})
 	v2 := &snapshot.View{
 		Seq: 3, StateVersion: 4, PublishedAt: t0, // older publication must win
 		UtilNow: 1.0, UtilSteady: 0.75,
 	}
-	v2.Snap = engine.Snapshot{
+	v2.Snap = engine.Summary{
 		Now: 12, TotalNodes: 64, UsedNodes: 64, FreeNodes: 0,
-		Queue: []engine.JobStatus{queued(8, 3)},
-		// Job 7's other slice: sizes sum, earliest start / latest end win.
-		Running: []engine.JobStatus{running(7, 4, 3, 12)},
-		Counts:  engine.Counts{Submitted: 4, Started: 4, Completed: 2},
+		Counts: engine.Counts{Submitted: 4, Started: 4, Completed: 2},
 	}
+	// Job 7's other slice: sizes sum, earliest start / latest end win.
+	snapshot.WithJobs(v2, []engine.JobStatus{queued(8, 3)}, []engine.JobStatus{running(7, 4, 3, 12)})
 
-	m := snapshot.Merge([]*snapshot.View{v1, v2})
+	views := []*snapshot.View{v1, v2}
+	m := snapshot.Merge(views)
 	if m.Seq != 5 || m.StateVersion != 9 {
 		t.Fatalf("Seq/StateVersion = %d/%d, want 5/9", m.Seq, m.StateVersion)
 	}
@@ -92,26 +92,28 @@ func TestMergeSumsCountersAndCoalescesSlices(t *testing.T) {
 	}
 
 	// Queue sorted by (Arrival, ID) across shards.
-	if m.Snap.QueueDepth != 2 || m.Snap.Queue[0].Job.ID != 8 || m.Snap.Queue[1].Job.ID != 9 {
-		t.Fatalf("merged queue %+v", m.Snap.Queue)
+	queue := queueOf(views)
+	if m.Snap.QueueDepth != 2 || len(queue) != 2 || queue[0].Job.ID != 8 || queue[1].Job.ID != 9 {
+		t.Fatalf("merged queue depth %d, %+v", m.Snap.QueueDepth, queue)
 	}
 	// Running: job 7's two slices coalesced (4+4 nodes, start 2, end 12),
 	// sorted by (Start, ID).
-	if m.Snap.RunningJobs != 2 {
-		t.Fatalf("running jobs %d, want 2", m.Snap.RunningJobs)
+	run := snapshot.MergeRunning(views)
+	if m.Snap.RunningJobs != 2 || len(run) != 2 {
+		t.Fatalf("running jobs %d, list %+v, want 2", m.Snap.RunningJobs, run)
 	}
-	if j5 := m.Snap.Running[0]; j5.Job.ID != 5 || j5.Job.Size != 8 {
+	if j5 := run[0]; j5.Job.ID != 5 || j5.Job.Size != 8 {
 		t.Fatalf("running[0] %+v, want job 5", j5)
 	}
-	j7 := m.Snap.Running[1]
+	j7 := run[1]
 	if j7.Job.ID != 7 || j7.Job.Size != 8 || j7.Start != 2 || j7.End != 12 {
 		t.Fatalf("coalesced slice %+v, want size 8 start 2 end 12", j7)
 	}
 	// The coalesced job 7 and the queued job 9 are read from the lists above;
-	// the merged View builds no Jobs index (point reads consult the owning
-	// lane's own View).
-	if m.Jobs != nil {
-		t.Fatalf("merged View built a Jobs index of %d entries nobody reads", len(m.Jobs))
+	// the merged View holds no jobs (point reads consult the owning lane's
+	// own View).
+	if _, ok := m.Job(7); ok || m.Jobs != nil {
+		t.Fatalf("merged View holds jobs: Jobs index of %d entries", len(m.Jobs))
 	}
 }
 

@@ -1,18 +1,19 @@
 // Package snapshot is the daemon's RCU-style read path: at drain boundaries
-// the engine goroutine captures an immutable View of the scheduler — queue,
-// running set, occupancy, accounting figures, fabric failure summary, and
-// the allocation-state version — and publishes it with one atomic pointer
-// swap. Read endpoints load the current pointer and serve entirely from the
-// View, so reads are wait-free, never contend with the writer, and are
-// linearizable at a published snapshot: every response describes the exact
-// engine state at some drain boundary, identified by Seq and StateVersion.
-// (Capture is O(active jobs), so under deep backlogs the server publishes on
-// a bounded cadence rather than after literally every drain; see
-// internal/server.)
+// the engine goroutine publishes an immutable View of the scheduler — the
+// engine's Summary (clock, occupancy, counts, failed resources), the
+// queued and running jobs, the accounting figures, and the allocation-state
+// version — with one atomic pointer swap. Read endpoints load the current
+// pointer and serve entirely from the View, so reads are wait-free, never
+// contend with the writer, and are linearizable at a published snapshot:
+// every response describes the exact engine state at some drain boundary,
+// identified by Seq and StateVersion.
 //
-// The View holds no references into live engine state (engine.Snapshot
-// copies its slices; everything else here is scalar), so a loaded View
-// remains valid forever regardless of what the engine does next.
+// A publish costs O(changed), not O(active): the engine names the jobs each
+// call changed (engine.Changes), and the View keeps its jobs in two
+// copy-on-write chunk sets (jobset.go), one by ID for point reads and one by
+// FIFO key for the queue. A publish folds the changed jobs into copies of the
+// chunks they live in and shares every other chunk with the previous View, so
+// a loaded View remains valid forever, whatever the engine does next.
 package snapshot
 
 import (
@@ -34,17 +35,17 @@ type View struct {
 	// metadata; the engine's own clock is Snap.Now).
 	PublishedAt time.Time
 	// StateVersion is the allocation state's monotone version counter at
-	// capture time — the exact fabric state the View describes.
+	// publish time — the exact fabric state the View describes.
 	StateVersion uint64
 
-	// Snap is the engine's consistent observable state: queue (FIFO),
-	// running set, occupancy, counts, and failed-resource summary.
-	Snap engine.Snapshot
+	// Snap is the engine's fixed-size observable state: clock, occupancy,
+	// counts, and failed-resource summary. The jobs themselves are read
+	// through Job, WalkQueue, MergeQueue and MergeRunning.
+	Snap engine.Summary
 
-	// Jobs indexes the active (queued or running) jobs by ID for point
-	// reads. Terminal jobs are not here; the server falls back to the
-	// engine for those. Per-lane only: Merge leaves it nil, since a point
-	// read goes to the owning lane's own View.
+	// Jobs is not filled: point reads use Job. It remains for the traced
+	// layer replay in benchmark/layers.go, which still indexes it; its
+	// lookups find nothing and fall back to the engine.
 	Jobs map[int64]engine.JobStatus
 
 	// Pods holds the per-pod free-capacity summaries (cell-range pods only)
@@ -60,6 +61,43 @@ type View struct {
 
 	// Negative-feasibility cache counters (engine.Accounting).
 	FeasHits, FeasMisses, FeasInvalidations int
+
+	// active holds the queued and running jobs by ID, queue the queued ones
+	// by FIFO key, and placed the running jobs StartPlaced started, by ID
+	// (the only IDs another engine's View may show running too; Merge
+	// counts each such job once).
+	active, queue, placed jobSet
+}
+
+// Job returns an active (queued or running) job's status. Terminal jobs are
+// not here; the server asks the engine for those.
+func (v *View) Job(id int64) (engine.JobStatus, bool) { return v.active.get(id) }
+
+// WalkQueue calls fn for every queued job in FIFO order.
+func (v *View) WalkQueue(fn func(engine.JobStatus)) { v.queue.walk(fn) }
+
+// fold applies one engine change to the View's job sets on behalf of
+// publish gen.
+func (v *View) fold(gen uint64, c engine.Change) {
+	id, running := c.Status.Job.ID, c.Status.State == engine.StateRunning
+	if c.Shown != 0 && c.Shown != c.Queued {
+		v.queue.del(gen, int64(c.Shown))
+	}
+	if c.Queued != 0 {
+		v.queue.put(gen, int64(c.Queued), c.Status)
+	}
+	if running || c.Queued != 0 {
+		v.active.put(gen, id, c.Status)
+	} else {
+		v.active.del(gen, id)
+	}
+	if c.Placed {
+		if running {
+			v.placed.put(gen, id, c.Status)
+		} else {
+			v.placed.del(gen, id)
+		}
+	}
 }
 
 // Publisher owns the current-view pointer. One goroutine (the engine
@@ -67,7 +105,10 @@ type View struct {
 type Publisher struct {
 	cur atomic.Pointer[View]
 	seq uint64
-	// pods makes capture include per-pod free summaries (View.Pods).
+	// gen numbers the Views built, so a chunk knows which publish may still
+	// write it.
+	gen uint64
+	// pods makes Publish include per-pod free summaries (View.Pods).
 	pods bool
 	// What PodSummaries derived last: the state, the summaries of its cell's
 	// pods, and for each 1 + the PodVersion it was derived at (0: never).
@@ -84,22 +125,31 @@ type Publisher struct {
 // without them.
 func (p *Publisher) CapturePodSummaries() { p.pods = true }
 
-// NewPublisher starts with an empty published View (Seq 0) built from the
-// engine's initial state, so readers never observe nil.
+// NewPublisher turns on the engine's change tracking and starts with a
+// published View (Seq 0) of the engine's current state, so readers never
+// observe nil. An engine has at most one Publisher: it consumes the
+// engine's changes.
 func NewPublisher(e *engine.Engine) *Publisher {
 	p := &Publisher{}
-	v := p.capture(e)
-	p.cur.Store(v)
+	e.TrackChanges()
+	p.cur.Store(p.build(e, &View{}))
 	return p
 }
 
-// capture builds a View from the engine. Engine-goroutine only.
-func (p *Publisher) capture(e *engine.Engine) *View {
+// build returns the View after prev: prev's job sets with the engine's
+// changes folded in, and the engine's current figures. Engine-goroutine
+// only.
+func (p *Publisher) build(e *engine.Engine, prev *View) *View {
+	p.gen++
 	v := &View{
 		PublishedAt:  time.Now(),
 		StateVersion: e.StateVersion(),
-		Snap:         e.Snapshot(),
+		Snap:         e.Summary(),
+		active:       prev.active,
+		queue:        prev.queue,
+		placed:       prev.placed,
 	}
+	e.Changes(func(c engine.Change) { v.fold(p.gen, c) })
 	if p.pods {
 		v.Pods = p.PodSummaries(e)
 	}
@@ -109,13 +159,6 @@ func (p *Publisher) capture(e *engine.Engine) *View {
 	v.FeasHits = acc.FeasCacheHits
 	v.FeasMisses = acc.FeasCacheMisses
 	v.FeasInvalidations = acc.FeasCacheInvalidations
-	v.Jobs = make(map[int64]engine.JobStatus, len(v.Snap.Queue)+len(v.Snap.Running))
-	for _, st := range v.Snap.Queue {
-		v.Jobs[st.Job.ID] = st
-	}
-	for _, st := range v.Snap.Running {
-		v.Jobs[st.Job.ID] = st
-	}
 	return v
 }
 
@@ -145,11 +188,12 @@ func (p *Publisher) podSummaries(st *topology.State) []topology.PodSummary {
 	return slices.Clone(p.podSums)
 }
 
-// Publish captures the engine's state and swaps it in as the current View.
-// Only the engine goroutine may call it; the swap is the release edge that
-// makes the drain's effects visible to readers.
+// Publish folds the engine's changes since the previous publish into a new
+// View and swaps it in as the current one. Only the engine goroutine may
+// call it; the swap is the release edge that makes the drain's effects
+// visible to readers.
 func (p *Publisher) Publish(e *engine.Engine) *View {
-	v := p.capture(e)
+	v := p.build(e, p.cur.Load())
 	p.seq++
 	v.Seq = p.seq
 	p.cur.Store(v)

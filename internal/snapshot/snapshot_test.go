@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -13,6 +14,13 @@ import (
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
+
+// queueOf lists what MergeQueue walks.
+func queueOf(views []*snapshot.View) []engine.JobStatus {
+	var q []engine.JobStatus
+	snapshot.MergeQueue(views, nil, func(st engine.JobStatus) { q = append(q, st) })
+	return q
+}
 
 func newEngine(t *testing.T) *engine.Engine {
 	t.Helper()
@@ -48,11 +56,11 @@ func TestPublishReflectsEngineState(t *testing.T) {
 	if v.Snap.RunningJobs != 1 || v.Snap.QueueDepth != 1 || v.Snap.UsedNodes != 16 {
 		t.Fatalf("snapshot contents: %+v", v.Snap)
 	}
-	if st, ok := v.Jobs[1]; !ok || st.State != engine.StateRunning {
-		t.Fatalf("jobs index missing running job: %+v", v.Jobs)
+	if st, ok := v.Job(1); !ok || st.State != engine.StateRunning {
+		t.Fatalf("running job 1: %+v, %v", st, ok)
 	}
-	if st, ok := v.Jobs[2]; !ok || st.State != engine.StateQueued {
-		t.Fatalf("jobs index missing queued job: %+v", v.Jobs)
+	if st, ok := v.Job(2); !ok || st.State != engine.StateQueued {
+		t.Fatalf("queued job 2: %+v, %v", st, ok)
 	}
 	if v.StateVersion != e.StateVersion() {
 		t.Fatalf("state version %d, engine %d", v.StateVersion, e.StateVersion())
@@ -87,8 +95,8 @@ func TestViewImmutableAfterLaterPublishes(t *testing.T) {
 	e.AdvanceTo(2)
 	v := p.Publish(e)
 	frozen := *v
-	frozenQueue := append([]engine.JobStatus(nil), v.Snap.Queue...)
-	frozenRunning := append([]engine.JobStatus(nil), v.Snap.Running...)
+	one := []*snapshot.View{v}
+	frozenQueue, frozenRunning := queueOf(one), snapshot.MergeRunning(one)
 
 	// Churn: cancels, completions, failures, more publishes.
 	e.Cancel(3)
@@ -103,7 +111,7 @@ func TestViewImmutableAfterLaterPublishes(t *testing.T) {
 		v.UtilNow != frozen.UtilNow || !reflect.DeepEqual(v.Snap.Counts, frozen.Snap.Counts) {
 		t.Fatalf("retained view mutated: %+v vs %+v", v, frozen)
 	}
-	if !slices.Equal(v.Snap.Queue, frozenQueue) || !slices.Equal(v.Snap.Running, frozenRunning) {
+	if !slices.Equal(queueOf(one), frozenQueue) || !slices.Equal(snapshot.MergeRunning(one), frozenRunning) {
 		t.Fatal("retained view's job slices mutated by later engine activity")
 	}
 }
@@ -134,13 +142,14 @@ func TestConcurrentLoadersSeeConsistentViews(t *testing.T) {
 					return
 				}
 				lastSeq = v.Seq
-				if len(v.Snap.Queue) != v.Snap.QueueDepth || len(v.Snap.Running) != v.Snap.RunningJobs {
+				queue, run := queueOf([]*snapshot.View{v}), snapshot.MergeRunning([]*snapshot.View{v})
+				if len(queue) != v.Snap.QueueDepth || len(run) != v.Snap.RunningJobs {
 					t.Errorf("inconsistent view: depth %d/%d running %d/%d",
-						len(v.Snap.Queue), v.Snap.QueueDepth, len(v.Snap.Running), v.Snap.RunningJobs)
+						len(queue), v.Snap.QueueDepth, len(run), v.Snap.RunningJobs)
 					return
 				}
-				if got := v.Snap.Counts.Submitted; got < int64(len(v.Snap.Queue)+len(v.Snap.Running)) {
-					t.Errorf("view lost jobs: submitted %d < active %d", got, len(v.Snap.Queue)+len(v.Snap.Running))
+				if got := v.Snap.Counts.Submitted; got < int64(len(queue)+len(run)) {
+					t.Errorf("view lost jobs: submitted %d < active %d", got, len(queue)+len(run))
 					return
 				}
 			}
@@ -165,5 +174,53 @@ func TestConcurrentLoadersSeeConsistentViews(t *testing.T) {
 
 	if got := p.Load().Seq; got != 400 {
 		t.Fatalf("final seq %d, want 400", got)
+	}
+}
+
+// TestPublishWorkIsIndependentOfActiveJobs is the work gate: after a one-op
+// drain, a publish allocates about the same at 20 000 active jobs as at
+// 2 000 (at most 1.5 times as much), where a copy of every active job would
+// allocate ten times as much. Node 15 stays failed on a 16-node tree, so no
+// 16-node job ever starts and every one stays queued. The bytes are averaged
+// over 256 drains, so the new job lands at every offset of a chunk.
+func TestPublishWorkIsIndependentOfActiveJobs(t *testing.T) {
+	perPublish := func(active int) float64 {
+		e := newEngine(t)
+		if _, err := e.Fail(topology.NodeFailure(15)); err != nil {
+			t.Fatal(err)
+		}
+		p := snapshot.NewPublisher(e)
+		id := int64(0)
+		submit := func() {
+			id++
+			if err := e.Submit(trace.Job{ID: id, Size: 16, Arrival: e.Now(), Runtime: 10}); err != nil {
+				t.Fatal(err)
+			}
+			e.AdvanceTo(e.Now())
+		}
+		for id < int64(active) {
+			submit()
+		}
+		p.Publish(e)
+		var total uint64
+		const drains = 256
+		for i := 0; i < drains; i++ {
+			submit()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			p.Publish(e)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		if got := p.Load().Snap.QueueDepth; got != active+drains {
+			t.Fatalf("%d jobs queued, want %d", got, active+drains)
+		}
+		return float64(total) / drains
+	}
+	small, large := perPublish(2000), perPublish(20000)
+	t.Logf("bytes per publish: %.0f at 2 000 active jobs, %.0f at 20 000", small, large)
+	if large > 1.5*small {
+		t.Fatalf("a publish at 20 000 active jobs allocates %.0f bytes, %.2f times the %.0f at 2 000: publish is O(active) again",
+			large, large/small, small)
 	}
 }
